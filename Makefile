@@ -5,7 +5,7 @@
 DUNE ?= dune
 
 .PHONY: all build test fmt lint prove trace serve-smoke top-smoke sim-smoke \
-  clean-tree bench bench-gate ci clean
+  race-smoke clean-tree bench bench-gate ci clean
 
 all: build
 
@@ -129,6 +129,30 @@ sim-smoke: build
 	grep '^\[' "$$dir/cold.txt" | diff - "$$dir/warm-cells.txt"; \
 	echo "sim-smoke: OK (invariants hold, warm resume bit-identical)"
 
+# The race smoke test, run by the race-smoke CI job: the service suite
+# (pool, server, batch) twenty times, each under a 60 s timeout so a
+# stranded worker fails fast instead of hanging, then the full registry
+# batch on 4 domains three times under a tiny minor heap (constant
+# cross-domain GC pressure), diffed with wall times stripped.
+race-smoke:
+	$(DUNE) build test/test_service.exe bin/noc_tool.exe
+	@set -e; \
+	for i in $$(seq 1 20); do \
+	  timeout 60 ./_build/default/test/test_service.exe > /dev/null \
+	    || { echo "race-smoke: test_service run $$i failed or hung"; exit 1; }; \
+	done; \
+	dir="$$(mktemp -d)"; \
+	trap 'rm -rf "$$dir"' EXIT; \
+	for i in 1 2 3; do \
+	  OCAMLRUNPARAM=s=4k ./_build/default/bin/noc_tool.exe \
+	    batch test/cli/registry_jobs.json -j 4 \
+	    | sed -E 's/ +[0-9.]+ ms/ <ms>/g' > "$$dir/run$$i.txt"; \
+	done; \
+	diff "$$dir/run1.txt" "$$dir/run2.txt"; \
+	diff "$$dir/run1.txt" "$$dir/run3.txt"; \
+	cat "$$dir/run1.txt"; \
+	echo "race-smoke: OK (20 service runs, 3 identical 4-domain batches)"
+
 clean-tree:
 	@if git ls-files _build | grep -q .; then \
 	  echo "clean-tree: _build/ artifacts are tracked in git"; \
@@ -166,7 +190,8 @@ bench-gate: bench
 	$(DUNE) exec bench/check_regression.exe -- \
 	  bench/baseline/BENCH_sim.json BENCH_sim.json
 
-ci: build test fmt lint prove trace clean-tree bench-gate top-smoke sim-smoke
+ci: build test fmt lint prove trace clean-tree bench-gate top-smoke sim-smoke \
+  race-smoke
 
 clean:
 	$(DUNE) clean

@@ -80,10 +80,10 @@ let check_sim (baseline_path, baseline_text) (current_path, current_text) =
 
 (* The baseline names the gate: a report pair must be of one kind. *)
 let schema_of text =
-  match Noc_service.Json.of_string text with
+  match Noc_json.Json.of_string text with
   | Ok root -> (
-      match Noc_service.Json.member "schema" root with
-      | Some (Noc_service.Json.Str s) -> Some s
+      match Noc_json.Json.member "schema" root with
+      | Some (Noc_json.Json.Str s) -> Some s
       | _ -> None)
   | Error _ -> None
 

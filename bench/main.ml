@@ -521,39 +521,6 @@ let service_report () =
   let host_cores = Domain.recommended_domain_count () in
   let arms = List.filter (fun d -> d = 1 || d <= host_cores) [ 1; 2; 4 ] in
   let timings = List.map timing arms in
-  (* Collector overhead: the same sequential batch with and without a
-     series-collector domain sampling the registry at a deliberately
-     aggressive 20 Hz (the daemon default is 1 Hz).  The collector is
-     started once around the whole rep loop — a daemon runs it for its
-     entire life, so steady-state sampling interference is the cost
-     being measured, not the one-time domain spawn — and min over
-     repetitions discards scheduler noise like the other arms. *)
-  let collector_arm with_collector =
-    let reps () =
-      let best = ref infinity in
-      for _ = 1 to 3 do
-        let results, summary =
-          run_batch ~domains:1
-            ~cache:(Some (Result_cache.create ~capacity:256))
-            jobs
-        in
-        if hashes results <> reference_hashes then
-          failwith
-            "service bench: collector arm diverged from the sequential \
-             reference";
-        if summary.Batch.wall_ms < !best then best := summary.Batch.wall_ms
-      done;
-      !best
-    in
-    if with_collector then begin
-      let series = Noc_obs.Series.create ~interval_s:0.05 ~window:1200 () in
-      let collector = Noc_obs.Series.start series in
-      Fun.protect ~finally:(fun () -> Noc_obs.Series.stop collector) reps
-    end
-    else reps ()
-  in
-  let collector_off_wall_ms = collector_arm false in
-  let collector_on_wall_ms = collector_arm true in
   (* Warm replay: populate a cache, reset its counters, run again. *)
   let cache = Result_cache.create ~capacity:256 in
   let _ = run_batch ~domains:1 ~cache:(Some cache) jobs in
@@ -578,8 +545,6 @@ let service_report () =
     timings;
     replay_wall_ms = replay_summary.Batch.wall_ms;
     replay_hit_rate = Result_cache.hit_rate replay_stats;
-    collector_off_wall_ms = Some collector_off_wall_ms;
-    collector_on_wall_ms = Some collector_on_wall_ms;
   }
 
 let run_service_json () =

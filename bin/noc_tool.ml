@@ -1044,9 +1044,9 @@ let batch_cmd =
     let jobs = or_die (load_jobs jobs_file) in
     let sink =
       match telemetry with
-      | None -> Telemetry.null
+      | None -> Noc_obs.Sink.null
       | Some path -> (
-          try Telemetry.to_file path
+          try Noc_obs.Sink.to_file path
           with Sys_error e -> or_die (Error e))
     in
     let config =
@@ -1184,9 +1184,9 @@ let serve_cmd =
     in
     let sink =
       match telemetry with
-      | None -> Telemetry.null
+      | None -> Noc_obs.Sink.null
       | Some path -> (
-          try Telemetry.to_file path with Sys_error e -> or_die (Error e))
+          try Noc_obs.Sink.to_file path with Sys_error e -> or_die (Error e))
     in
     let config =
       {
@@ -1199,8 +1199,6 @@ let serve_cmd =
         telemetry = sink;
         lint = not no_lint;
         slos = apply_slo_overrides slo_overrides;
-        series_interval_s = Server.default_config.Server.series_interval_s;
-        series_window = Server.default_config.Server.series_window;
       }
     in
     let server = Server.create config in
@@ -1285,8 +1283,7 @@ let submit_cmd =
       | Wire.Overloaded { queue_depth; _ } ->
           Format.printf "[%d] %-9s %-28s queue full (depth %d)@." index
             "OVERLOADED" (Job.label job) queue_depth
-      | Wire.Hello _ | Wire.Stats_report _ | Wire.Metrics_report _
-      | Wire.Pong | Wire.Error_msg _ ->
+      | Wire.Hello _ | Wire.Metrics_report _ | Wire.Pong | Wire.Error_msg _ ->
           ()
     in
     let replies =
@@ -1345,9 +1342,8 @@ let submit_cmd =
          ])
     Term.(const run $ logs_term $ jobs_file_arg $ socket_arg $ corr_arg)
 
-(* Client-side rendering of the typed stats record — line-compatible
-   with the daemon's legacy text report, because the serve-smoke and
-   store-persistence CI jobs grep these exact shapes out of
+(* Client-side rendering of the typed stats record.  The serve-smoke
+   and store-persistence CI jobs grep these exact line shapes out of
    serve-stats output. *)
 let render_wire_stats b (s : Noc_service.Wire.stats) =
   let open Noc_service in

@@ -231,13 +231,13 @@ let certificate =
    which is the point). *)
 (* SLO surface: every NOC-DLF-001/002 finding is a prover/certify
    disagreement, counted so the dlf_agreement objective (disagreements
-   at most 0) burns the moment either implementation drifts. *)
-let disagreements_total =
-  lazy (Noc_obs.Metrics.counter "noc_dlf_disagreements_total")
-
+   at most 0) burns the moment either implementation drifts.  Looked up
+   at the finding (lint runs this pass on pool workers; the registry
+   lookup is idempotent and mutex-guarded), so the counter appears
+   only once a disagreement does. *)
 let cross_check_findings ~certified_acyclic (v : Deadlock_freedom.verdict) =
   let disagree () =
-    Noc_obs.Metrics.incr (Lazy.force disagreements_total)
+    Noc_obs.Metrics.incr (Noc_obs.Metrics.counter "noc_dlf_disagreements_total")
   in
   if certified_acyclic && not v.Deadlock_freedom.deadlock_free then begin
     disagree ();

@@ -52,14 +52,14 @@ let default_config = { domains = 1; store = None; lint = true }
 
 (* SLO surface: per-cell wall time feeds the campaign_cell_p99_ms
    objective.  Warm cells observe their stored wall time — the SLO is
-   about what a cell costs, however it was obtained. *)
-let cell_ms =
-  lazy
+   about what a cell costs, however it was obtained.  Fresh cells are
+   observed from the batch's worker domains, so the histogram is looked
+   up per cell: the lookup is idempotent and mutex-guarded. *)
+let observe_cell cell =
+  Noc_obs.Metrics.observe
     (Noc_obs.Metrics.histogram "noc_campaign_cell_ms"
        ~buckets:[| 1.; 5.; 25.; 100.; 500.; 2_500.; 10_000.; 60_000. |])
-
-let observe_cell cell =
-  Noc_obs.Metrics.observe (Lazy.force cell_ms) cell.outcome.Outcome.wall_ms
+    cell.outcome.Outcome.wall_ms
 
 let run ?(on_cell = fun (_ : cell) -> ()) config jobs =
   if config.domains < 1 then invalid_arg "Campaign.run: domains < 1";
@@ -85,7 +85,7 @@ let run ?(on_cell = fun (_ : cell) -> ()) config jobs =
       {
         Batch.domains = config.domains;
         cache = Some (Result_cache.create ~capacity:(max 1 (List.length jobs)));
-        telemetry = Telemetry.null;
+        telemetry = Noc_obs.Sink.null;
         timeout_ms = None;
         fail_fast = false;
         lint = config.lint;

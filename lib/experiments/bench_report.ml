@@ -8,11 +8,9 @@
      algorithm and must match the baseline exactly;
    - the per-entry speedup (rebuild over incremental, both arms
      measured on the same machine in the same process) is a ratio, so
-     a regression of the incremental hot path shows up on any host.
+     a regression of the incremental hot path shows up on any host. *)
 
-   No JSON library ships in the toolchain here, so the tiny subset
-   needed (objects, arrays, strings, numbers) is emitted and parsed by
-   hand. *)
+module Json = Noc_json.Json
 
 type entry = {
   benchmark : string;
@@ -38,241 +36,63 @@ let aggregate_speedup entries =
   if inc > 0. then reb /. inc else 0.
 
 (* ------------------------------------------------------------------ *)
-(* Emission                                                            *)
+(* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let to_json entries =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (Printf.sprintf "{\n  \"schema\": \"%s\",\n" schema);
-  Buffer.add_string b "  \"entries\": [\n";
-  List.iteri
-    (fun i e ->
-      let phases =
-        if e.phases = [] then ""
-        else
-          Printf.sprintf ", \"phases\": {%s}"
-            (String.concat ", "
-               (List.map
-                  (fun (name, ms) ->
-                    Printf.sprintf "\"%s\": %.6f" (escape name) ms)
-                  e.phases))
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"benchmark\": \"%s\", \"n_switches\": %d, \"iterations\": \
-            %d, \"vcs_added\": %d, \"incremental_ms\": %.6f, \"rebuild_ms\": \
-            %.6f%s}%s\n"
-           (escape e.benchmark) e.n_switches e.iterations e.vcs_added
-           e.incremental_ms e.rebuild_ms phases
-           (if i = List.length entries - 1 then "" else ",")))
-    entries;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Parsing (minimal JSON subset)                                       *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-
-exception Parse_error of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
+  let entry e =
+    Json.Obj
+      ([
+         ("benchmark", Json.Str e.benchmark);
+         ("n_switches", Json.Num (float_of_int e.n_switches));
+         ("iterations", Json.Num (float_of_int e.iterations));
+         ("vcs_added", Json.Num (float_of_int e.vcs_added));
+         ("incremental_ms", Json.Num e.incremental_ms);
+         ("rebuild_ms", Json.Num e.rebuild_ms);
+       ]
+      @
+      if e.phases = [] then []
       else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (if !pos >= n then fail "unterminated escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char b '"'
-               | '\\' -> Buffer.add_char b '\\'
-               | 'n' -> Buffer.add_char b '\n'
-               | 't' -> Buffer.add_char b '\t'
-               | c -> Buffer.add_char b c);
-            advance ();
-            go ()
-        | c ->
-            Buffer.add_char b c;
-            advance ();
-            go ()
-    in
-    go ();
-    Buffer.contents b
+        [
+          ( "phases",
+            Json.Obj (List.map (fun (span, ms) -> (span, Json.Num ms)) e.phases)
+          );
+        ])
   in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      && match s.[!pos] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false
-    do
-      advance ()
-    done;
-    if !pos = start then fail "expected number"
-    else
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let key = parse_string () in
-            expect ':';
-            let v = parse_value () in
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected , or } in object"
-          in
-          members ();
-          Obj (List.rev !fields)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected , or ] in array"
-          in
-          elements ();
-          Arr (List.rev !items)
-        end
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let field name = function
-  | Obj fields -> (
-      match List.assoc_opt name fields with
-      | Some v -> v
-      | None -> raise (Parse_error (Printf.sprintf "missing field %S" name)))
-  | _ -> raise (Parse_error (Printf.sprintf "expected object with field %S" name))
-
-let as_num = function
-  | Num f -> f
-  | _ -> raise (Parse_error "expected number")
-
-let as_str = function
-  | Str s -> s
-  | _ -> raise (Parse_error "expected string")
+  Json.to_string_pretty
+    (Json.Obj
+       [
+         ("schema", Json.Str schema);
+         ("entries", Json.Arr (List.map entry entries));
+       ])
+  ^ "\n"
 
 let of_json text =
-  match parse_json text with
-  | exception Parse_error msg -> Error msg
-  | root -> (
-      match field "schema" root with
-      | exception Parse_error msg -> Error msg
-      | s when as_str s <> schema ->
-          Error (Printf.sprintf "unsupported schema %S (want %S)" (as_str s) schema)
-      | _ -> (
-          match field "entries" root with
-          | exception Parse_error msg -> Error msg
-          | Arr items -> (
-              try
-                Ok
-                  (List.map
-                     (fun item ->
-                       {
-                         benchmark = as_str (field "benchmark" item);
-                         n_switches =
-                           int_of_float (as_num (field "n_switches" item));
-                         iterations =
-                           int_of_float (as_num (field "iterations" item));
-                         vcs_added =
-                           int_of_float (as_num (field "vcs_added" item));
-                         incremental_ms = as_num (field "incremental_ms" item);
-                         rebuild_ms = as_num (field "rebuild_ms" item);
-                         (* Optional: absent in pre-tracing reports. *)
-                         phases =
-                           (match item with
-                           | Obj fields -> (
-                               match List.assoc_opt "phases" fields with
-                               | Some (Obj ps) ->
-                                   List.map (fun (k, v) -> (k, as_num v)) ps
-                               | Some _ ->
-                                   raise
-                                     (Parse_error "\"phases\" is not an object")
-                               | None -> [])
-                           | _ -> []);
-                       })
-                     items)
-              with Parse_error msg -> Error msg)
-          | _ -> Error "\"entries\" is not an array"))
+  let entry item =
+    {
+      benchmark = Json.to_str (Json.field "benchmark" item);
+      n_switches = Json.to_int (Json.field "n_switches" item);
+      iterations = Json.to_int (Json.field "iterations" item);
+      vcs_added = Json.to_int (Json.field "vcs_added" item);
+      incremental_ms = Json.to_num (Json.field "incremental_ms" item);
+      rebuild_ms = Json.to_num (Json.field "rebuild_ms" item);
+      (* Optional: absent in pre-tracing reports. *)
+      phases =
+        (match Json.member "phases" item with
+        | None -> []
+        | Some (Json.Obj ps) -> List.map (fun (k, v) -> (k, Json.to_num v)) ps
+        | Some _ -> raise (Json.Parse_error "\"phases\" is not an object"));
+    }
+  in
+  match Json.of_string text with
+  | Error msg -> Error msg
+  | Ok root -> (
+      try
+        let s = Json.to_str (Json.field "schema" root) in
+        if s <> schema then
+          Error (Printf.sprintf "unsupported schema %S (want %S)" s schema)
+        else Ok (List.map entry (Json.to_list (Json.field "entries" root)))
+      with Json.Parse_error msg -> Error msg)
 
 (* ------------------------------------------------------------------ *)
 (* Baseline comparison (the CI gate)                                   *)

@@ -4,8 +4,7 @@
     Sinks serialize concurrent emits with an internal mutex, so code on
     any domain can emit without coordination.  This is the shared
     transport of the observability layer: the service's telemetry
-    stream and the tracer's [noc-trace/1] export both speak it (the
-    service re-exports this very type as [Telemetry.sink]). *)
+    stream and the tracer's [noc-trace/1] export both speak it. *)
 
 module Json = Noc_json.Json
 

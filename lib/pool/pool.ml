@@ -3,6 +3,8 @@ type task = unit -> unit
 type t = {
   queue : task Bounded_queue.t;
   workers : unit Domain.t array;
+  workers_gauge : Noc_obs.Metrics.gauge;
+  busy_gauge : Noc_obs.Metrics.gauge;
   mutable shut_down : bool;
 }
 
@@ -14,21 +16,17 @@ let default_queue_capacity = 256
 let queue_wait_ms = Noc_obs.Metrics.histogram "noc_pool_queue_wait_ms"
 let tasks_total = Noc_obs.Metrics.counter "noc_pool_tasks_total"
 
-(* Worker-utilization gauges (lazy: they only appear once a pool
-   exists, keeping pool-free traces clean).  Counts aggregate across
-   live pools; busy/total is the utilization `noc_tool top` shows. *)
-let workers_gauge = lazy (Noc_obs.Metrics.gauge "noc_pool_workers")
-let busy_gauge = lazy (Noc_obs.Metrics.gauge "noc_pool_busy_workers")
+(* Worker-utilization gauges.  [create] registers them, on the calling
+   domain before any worker exists, so they appear only once a pool
+   does (pool-free traces stay clean) and workers only ever touch the
+   handles in [t].  Counts aggregate across live pools; busy/total is
+   the utilization `noc_tool top` shows. *)
 let total_workers = Atomic.make 0
 let busy_workers = Atomic.make 0
 
-let adjust_workers delta =
-  let v = Atomic.fetch_and_add total_workers delta + delta in
-  Noc_obs.Metrics.set_gauge (Lazy.force workers_gauge) (float_of_int v)
-
-let adjust_busy delta =
-  let v = Atomic.fetch_and_add busy_workers delta + delta in
-  Noc_obs.Metrics.set_gauge (Lazy.force busy_gauge) (float_of_int v)
+let adjust gauge count delta =
+  let v = Atomic.fetch_and_add count delta + delta in
+  Noc_obs.Metrics.set_gauge gauge (float_of_int v)
 
 let worker_loop queue () =
   (* One span per worker domain, covering its whole lifetime; task
@@ -46,9 +44,11 @@ let worker_loop queue () =
 let create ?(queue_capacity = default_queue_capacity) ~domains () =
   if domains < 1 then invalid_arg "Pool.create: domains < 1";
   let queue = Bounded_queue.create ~capacity:queue_capacity in
+  let workers_gauge = Noc_obs.Metrics.gauge "noc_pool_workers" in
+  let busy_gauge = Noc_obs.Metrics.gauge "noc_pool_busy_workers" in
   let workers = Array.init domains (fun _ -> Domain.spawn (worker_loop queue)) in
-  adjust_workers domains;
-  { queue; workers; shut_down = false }
+  adjust workers_gauge total_workers domains;
+  { queue; workers; workers_gauge; busy_gauge; shut_down = false }
 
 let domains t = Array.length t.workers
 
@@ -59,14 +59,14 @@ let shutdown t =
     t.shut_down <- true;
     Bounded_queue.close t.queue;
     Array.iter Domain.join t.workers;
-    adjust_workers (-Array.length t.workers)
+    adjust t.workers_gauge total_workers (-Array.length t.workers)
   end
 
 let with_pool ?queue_capacity ~domains f =
   let t = create ?queue_capacity ~domains () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let instrumented task =
+let instrumented t task =
   let submitted_ns = Noc_obs.Clock.now_ns () in
   fun () ->
     let wait_ms =
@@ -75,9 +75,9 @@ let instrumented task =
     in
     Noc_obs.Metrics.observe queue_wait_ms wait_ms;
     Noc_obs.Metrics.incr tasks_total;
-    adjust_busy 1;
+    adjust t.busy_gauge busy_workers 1;
     Fun.protect
-      ~finally:(fun () -> adjust_busy (-1))
+      ~finally:(fun () -> adjust t.busy_gauge busy_workers (-1))
       (fun () ->
         Noc_obs.Trace.with_span "pool.task"
           ~attrs:[ ("queue_wait_ms", Noc_obs.Trace.Float wait_ms) ]
@@ -85,11 +85,11 @@ let instrumented task =
 
 let submit t task =
   if t.shut_down then invalid_arg "Pool.submit: pool is shut down";
-  Bounded_queue.push t.queue (instrumented task)
+  Bounded_queue.push t.queue (instrumented t task)
 
 let try_submit t task =
   if t.shut_down then invalid_arg "Pool.try_submit: pool is shut down";
-  Bounded_queue.try_push t.queue (instrumented task)
+  Bounded_queue.try_push t.queue (instrumented t task)
 
 (* Order-preserving parallel map.  Tasks store into a slot array; the
    caller blocks until every slot is filled, then re-raises the first

@@ -9,7 +9,7 @@
 type config = {
   domains : int;
   cache : Result_cache.t option;
-  telemetry : Telemetry.sink;
+  telemetry : Noc_obs.Sink.t;
   timeout_ms : float option;
   fail_fast : bool;
   lint : bool;
@@ -19,7 +19,7 @@ let default_config =
   {
     domains = 1;
     cache = None;
-    telemetry = Telemetry.null;
+    telemetry = Noc_obs.Sink.null;
     timeout_ms = None;
     fail_fast = false;
     lint = true;
@@ -79,7 +79,7 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
         jobs
     else Array.make n None
   in
-  config.telemetry.Telemetry.emit
+  config.telemetry.Noc_obs.Sink.emit
     (Telemetry.batch_started ~jobs:n ~domains:config.domains
        ~cache_capacity:
          (match config.cache with
@@ -115,7 +115,7 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
     let job = jobs.(index) in
     if Atomic.get cancelled then begin
       let r = { index; job; outcome = Outcome.cancelled; cache_hit = false } in
-      config.telemetry.Telemetry.emit
+      config.telemetry.Noc_obs.Sink.emit
         (Telemetry.job_finished ~index ~job ~outcome:r.outcome ~cache_hit:false ());
       record index r
     end
@@ -127,7 +127,7 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
             ("job", Noc_obs.Trace.Str (Job.short_hash job));
           ]
       @@ fun job_sp ->
-      config.telemetry.Telemetry.emit (Telemetry.job_started ~index ~job ());
+      config.telemetry.Noc_obs.Sink.emit (Telemetry.job_started ~index ~job ());
       let hash = Job.hash job in
       let outcome, cache_hit =
         match config.cache with
@@ -146,7 +146,7 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
                   let evicted = Result_cache.store cache hash outcome in
                   if evicted then
                     let s = Result_cache.stats cache in
-                    config.telemetry.Telemetry.emit
+                    config.telemetry.Noc_obs.Sink.emit
                       (Telemetry.cache_evicted ~entries:s.Result_cache.entries
                          ~capacity:(Result_cache.capacity cache))
                 end;
@@ -158,7 +158,7 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
       | Outcome.Failed _ | Outcome.Timed_out ->
           if config.fail_fast then Atomic.set cancelled true
       | Outcome.Done | Outcome.Cancelled -> ());
-      config.telemetry.Telemetry.emit
+      config.telemetry.Noc_obs.Sink.emit
         (Telemetry.job_finished ~index ~job ~outcome ~cache_hit ());
       record index { index; job; outcome; cache_hit }
     end
@@ -169,7 +169,7 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
     let job = jobs.(index) in
     let outcome = Outcome.failed ~wall_ms:0. msg in
     if config.fail_fast then Atomic.set cancelled true;
-    config.telemetry.Telemetry.emit
+    config.telemetry.Noc_obs.Sink.emit
       (Telemetry.job_finished ~index ~job ~outcome ~cache_hit:false ());
     record index { index; job; outcome; cache_hit = false }
   in
@@ -177,7 +177,7 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
      (* Sequential arm: no domain is spawned at all — this is the
         reference trajectory the differential tests compare against. *)
      for index = 0 to n - 1 do
-       config.telemetry.Telemetry.emit
+       config.telemetry.Noc_obs.Sink.emit
          (Telemetry.job_submitted ~index ~job:jobs.(index) ~queue_depth:0 ());
        match vetoed.(index) with
        | Some msg -> reject index msg
@@ -187,8 +187,8 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
      Noc_pool.Pool.with_pool ~domains:config.domains (fun pool ->
          for index = 0 to n - 1 do
            let depth = Noc_pool.Pool.queue_depth pool in
-           config.telemetry.Telemetry.emit (Telemetry.queue_depth ~depth);
-           config.telemetry.Telemetry.emit
+           config.telemetry.Noc_obs.Sink.emit (Telemetry.queue_depth ~depth);
+           config.telemetry.Noc_obs.Sink.emit
              (Telemetry.job_submitted ~index ~job:jobs.(index)
                 ~queue_depth:depth ());
            match vetoed.(index) with
@@ -233,10 +233,10 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
           entries = 0;
         }
   in
-  config.telemetry.Telemetry.emit
+  config.telemetry.Noc_obs.Sink.emit
     (Telemetry.batch_finished ~wall_ms ~succeeded:summary.succeeded
        ~failed:summary.failed ~cancelled:summary.cancelled ~cache_stats);
-  config.telemetry.Telemetry.close ();
+  config.telemetry.Noc_obs.Sink.close ();
   (results, summary)
 
 let pp_summary ppf s =

@@ -12,7 +12,7 @@ type config = {
   cache : Result_cache.t option;
       (** Shared across the batch's workers; pass the same cache to a
           second [run] to measure warm replay. *)
-  telemetry : Telemetry.sink;  (** Closed when the batch finishes. *)
+  telemetry : Noc_obs.Sink.t;  (** Closed when the batch finishes. *)
   timeout_ms : float option;
       (** Per-job budget.  OCaml computations cannot be interrupted, so
           this classifies over-budget jobs as [Timed_out] (withholding

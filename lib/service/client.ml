@@ -72,16 +72,6 @@ let ping t =
   | Ok _ -> Error "unexpected reply to ping"
   | Error e -> Error e
 
-(* Deprecated text report: pre-PR-8 servers only speak [Stats].  New
-   code wants the typed [stats] / [metrics] below. *)
-let stats_text t =
-  let* () = request t Wire.Stats in
-  match next_response t with
-  | Ok (Wire.Stats_report report) -> Ok report
-  | Ok (Wire.Error_msg m) -> Error m
-  | Ok _ -> Error "unexpected reply to stats"
-  | Error e -> Error e
-
 let metrics t =
   let* () = request t Wire.Metrics in
   match next_response t with

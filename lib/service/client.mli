@@ -22,12 +22,7 @@ val stats : t -> (Wire.stats, string) result
 
 val metrics : t -> (Wire.metrics_report, string) result
 (** The full typed report: stats record, [noc-metrics/1] snapshot,
-    [noc-series/1] window, and SLO verdicts. *)
-
-val stats_text : t -> (string, string) result
-[@@ocaml.deprecated "use Client.stats (typed) or Client.metrics"]
-(** The legacy text report via {!Wire.Stats}.  Kept one release for
-    pre-PR-8 servers; new code should use {!stats} or {!metrics}. *)
+    and SLO verdicts. *)
 
 val submit_all :
   ?corr_prefix:string ->

@@ -10,6 +10,8 @@
      the result cache content-addressed and lets bench baselines pin
      job identities. *)
 
+module Json = Noc_json.Json
+
 type design =
   | Benchmark of { name : string; n_switches : int; max_degree : int }
   | Inline of string  (* full noc-design 1 text *)

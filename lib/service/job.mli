@@ -71,14 +71,14 @@ val prepare_name : prepare -> string
 
 val prepare_of_name : string -> (prepare, string) result
 
-val to_json : t -> Json.t
+val to_json : t -> Noc_json.Json.t
 (** Canonical: fixed field order, defaults explicit. *)
 
-val of_json : Json.t -> (t, string) result
+val of_json : Noc_json.Json.t -> (t, string) result
 (** Accepts omitted optional fields (defaulted); inverse of {!to_json}. *)
 
 val canonical : t -> string
-(** [Json.to_string (to_json t)] — the hashed text. *)
+(** [Noc_json.Json.to_string (to_json t)] — the hashed text. *)
 
 val hash : t -> string
 (** MD5 of {!canonical}, lowercase hex (32 chars).  Equal jobs hash
@@ -95,7 +95,7 @@ val pp : Format.formatter -> t -> unit
 val file_schema : string
 (** ["noc-jobs/1"], the job-file schema tag. *)
 
-val list_to_json : t list -> Json.t
+val list_to_json : t list -> Noc_json.Json.t
 (** A complete job file value (schema + jobs array). *)
 
 val list_of_json : string -> (t list, string) result

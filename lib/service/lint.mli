@@ -28,7 +28,7 @@ val job_diagnostics :
 
 val hash_stability :
   location:Noc_analysis.Diagnostic.location ->
-  encoded:Json.t ->
+  encoded:Noc_json.Json.t ->
   Job.t ->
   Noc_analysis.Diagnostic.t list
 (** The [NOC-JOB-005] recheck at the heart of {!job_diagnostics},

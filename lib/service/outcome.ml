@@ -3,6 +3,8 @@
    rides alongside but is excluded from the result hash, so outcomes
    are comparable across machines, domain counts and cache hits. *)
 
+module Json = Noc_json.Json
+
 type status = Done | Failed of string | Timed_out | Cancelled
 
 type t = { status : status; metrics : (string * float) list; wall_ms : float }

@@ -23,8 +23,8 @@ val result_hash : t -> string
     excluded).  The determinism witness: sequential and 4-domain runs
     of the same job must produce equal hashes. *)
 
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
+val to_json : t -> Noc_json.Json.t
+val of_json : Noc_json.Json.t -> (t, string) result
 
 val metric : t -> string -> float option
 val is_done : t -> bool

@@ -5,9 +5,11 @@
 
 (* Evictions happen on worker domains mid-batch, where nobody is
    looking at [stats]; the registry counter makes them visible to
-   serve-stats and every other metrics consumer as they happen.  Lazy
-   so tools that never build a cache keep it out of their traces. *)
-let evictions_total = lazy (Noc_obs.Metrics.counter "noc_cache_evictions_total")
+   serve-stats and every other metrics consumer as they happen.
+   Registered by [create], so tools that never build a cache keep it
+   out of their traces; looked up per eviction, which is safe from any
+   domain. *)
+let evictions_total () = Noc_obs.Metrics.counter "noc_cache_evictions_total"
 
 type entry = { key : string; mutable outcome : Outcome.t }
 
@@ -25,7 +27,7 @@ type t = {
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Result_cache.create: capacity < 1";
-  ignore (Lazy.force evictions_total);
+  ignore (evictions_total ());
   {
     capacity;
     table = Hashtbl.create (min capacity 64);
@@ -74,7 +76,7 @@ let store t key outcome =
                 Hashtbl.remove t.table oldest.key;
                 t.recency <- List.filter (fun e -> e.key <> oldest.key) t.recency;
                 t.evictions <- t.evictions + 1;
-                Noc_obs.Metrics.incr (Lazy.force evictions_total);
+                Noc_obs.Metrics.incr (evictions_total ());
                 true
           end
           else false)

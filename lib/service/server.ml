@@ -30,9 +30,11 @@
 
 module Json = Noc_json.Json
 
-(* Lazy, forced in [create]: the serve.* family belongs in a daemon's
-   registry from startup (a /metrics report with the counters at zero),
-   but not in the traces of CLI runs that never start a server. *)
+(* Built in [create], before the pool spawns its workers: the serve.*
+   family belongs in a daemon's registry from startup (a /metrics
+   report with the counters at zero), but not in the traces of CLI
+   runs that never start a server.  Workers reach the handles through
+   [t], so no instrument is ever registered on a worker domain. *)
 type serve_metrics = {
   m_jobs : Noc_obs.Metrics.counter;
   m_rejected : Noc_obs.Metrics.counter;
@@ -45,35 +47,32 @@ type serve_metrics = {
   (* Per-method request-handling latency (admission time for submit —
      the queue and solver are covered by m_submit_to_result_ms). *)
   m_req_submit : Noc_obs.Metrics.histogram;
-  m_req_stats : Noc_obs.Metrics.histogram;
   m_req_metrics : Noc_obs.Metrics.histogram;
   m_req_ping : Noc_obs.Metrics.histogram;
   (* Receipt of the submit frame to the result frame going out. *)
   m_submit_to_result_ms : Noc_obs.Metrics.histogram;
 }
 
-let serve_metrics =
-  lazy
-    (let request_ms name =
-       Noc_obs.Metrics.histogram "noc_serve_request_ms"
-         ~labels:[ ("method", name) ]
-     in
-     {
-       m_jobs = Noc_obs.Metrics.counter "noc_serve_jobs_total";
-       m_rejected = Noc_obs.Metrics.counter "noc_serve_rejected_total";
-       m_overloaded = Noc_obs.Metrics.counter "noc_serve_overloaded_total";
-       m_warm_hits = Noc_obs.Metrics.counter "noc_serve_warm_hits_total";
-       m_connections = Noc_obs.Metrics.counter "noc_serve_connections_total";
-       m_scrapes = Noc_obs.Metrics.counter "noc_serve_scrapes_total";
-       m_queue_depth = Noc_obs.Metrics.gauge "noc_serve_queue_depth";
-       m_inflight = Noc_obs.Metrics.gauge "noc_serve_inflight";
-       m_req_submit = request_ms "submit";
-       m_req_stats = request_ms "stats";
-       m_req_metrics = request_ms "metrics";
-       m_req_ping = request_ms "ping";
-       m_submit_to_result_ms =
-         Noc_obs.Metrics.histogram "noc_serve_submit_to_result_ms";
-     })
+let serve_metrics () =
+  let request_ms name =
+    Noc_obs.Metrics.histogram "noc_serve_request_ms"
+      ~labels:[ ("method", name) ]
+  in
+  {
+    m_jobs = Noc_obs.Metrics.counter "noc_serve_jobs_total";
+    m_rejected = Noc_obs.Metrics.counter "noc_serve_rejected_total";
+    m_overloaded = Noc_obs.Metrics.counter "noc_serve_overloaded_total";
+    m_warm_hits = Noc_obs.Metrics.counter "noc_serve_warm_hits_total";
+    m_connections = Noc_obs.Metrics.counter "noc_serve_connections_total";
+    m_scrapes = Noc_obs.Metrics.counter "noc_serve_scrapes_total";
+    m_queue_depth = Noc_obs.Metrics.gauge "noc_serve_queue_depth";
+    m_inflight = Noc_obs.Metrics.gauge "noc_serve_inflight";
+    m_req_submit = request_ms "submit";
+    m_req_metrics = request_ms "metrics";
+    m_req_ping = request_ms "ping";
+    m_submit_to_result_ms =
+      Noc_obs.Metrics.histogram "noc_serve_submit_to_result_ms";
+  }
 
 type config = {
   socket_path : string;
@@ -83,11 +82,9 @@ type config = {
   domains : int;
   queue_capacity : int;
   store : Store.t option;
-  telemetry : Telemetry.sink;
+  telemetry : Noc_obs.Sink.t;
   lint : bool;
   slos : Noc_obs.Slo.t list;
-  series_interval_s : float;
-  series_window : int;
 }
 
 let default_config =
@@ -98,11 +95,9 @@ let default_config =
     domains = 2;
     queue_capacity = 64;
     store = None;
-    telemetry = Telemetry.null;
+    telemetry = Noc_obs.Sink.null;
     lint = true;
     slos = Noc_obs.Slo.defaults;
-    series_interval_s = 1.;
-    series_window = 120;
   }
 
 type conn = {
@@ -118,7 +113,7 @@ type conn = {
 type t = {
   config : config;
   pool : Noc_pool.Pool.t;
-  series : Noc_obs.Series.t;
+  m : serve_metrics;
   stopping : bool Atomic.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -131,7 +126,7 @@ let create config =
   if config.domains < 1 then invalid_arg "Server.create: domains < 1";
   if config.queue_capacity < 1 then
     invalid_arg "Server.create: queue_capacity < 1";
-  ignore (Lazy.force serve_metrics);
+  let m = serve_metrics () in
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_w;
   {
@@ -139,9 +134,7 @@ let create config =
     pool =
       Noc_pool.Pool.create ~queue_capacity:config.queue_capacity
         ~domains:config.domains ();
-    series =
-      Noc_obs.Series.create ~interval_s:config.series_interval_s
-        ~window:config.series_window ();
+    m;
     stopping = Atomic.make false;
     wake_r;
     wake_w;
@@ -215,70 +208,24 @@ let metrics_report t =
     {
       Wire.mr_stats = typed_stats t;
       mr_metrics = Noc_obs.Expo.json metrics;
-      mr_series = Noc_obs.Series.to_json t.series;
       mr_slo = Noc_obs.Slo.to_json verdicts;
     }
-
-(* The legacy text report behind the deprecated Stats request; the
-   line shapes are pinned by the serve-smoke/store-persistence CI
-   greps, so it renders from the same typed record the Metrics reply
-   carries. *)
-let render_stats b (s : Wire.stats) =
-  Printf.bprintf b "serve_uptime_seconds %.3f\n" s.Wire.uptime_s;
-  Printf.bprintf b "serve_queue_depth %d\n" s.Wire.queue_depth;
-  Printf.bprintf b "serve_inflight %d\n" s.Wire.inflight;
-  Printf.bprintf b "serve_draining %d\n" (if s.Wire.draining then 1 else 0);
-  match s.Wire.store with
-  | None -> Printf.bprintf b "store_enabled 0\n"
-  | Some st ->
-      Printf.bprintf b "store_enabled 1\n";
-      Printf.bprintf b "store_entries %d\n" st.Wire.entries;
-      Printf.bprintf b "store_hits %d\n" st.Wire.hits;
-      Printf.bprintf b "store_misses %d\n" st.Wire.misses;
-      Printf.bprintf b "store_evictions %d\n" st.Wire.evictions;
-      Printf.bprintf b "store_hit_rate %.6f\n" st.Wire.hit_rate
-
-let render_metric b m =
-  match m with
-  | Noc_obs.Metrics.Counter { value; _ } ->
-      Printf.bprintf b "%s %d\n" (Noc_obs.Metrics.metric_name m) value
-  | Noc_obs.Metrics.Gauge { value; _ } ->
-      Printf.bprintf b "%s %g\n" (Noc_obs.Metrics.metric_name m) value
-  | Noc_obs.Metrics.Histogram { buckets; overflow; count; sum; _ } ->
-      let name = Noc_obs.Metrics.metric_name m in
-      let cum = ref 0 in
-      List.iter
-        (fun (le, n) ->
-          cum := !cum + n;
-          Printf.bprintf b "%s_bucket{le=\"%g\"} %d\n" name le !cum)
-        buckets;
-      Printf.bprintf b "%s_bucket{le=\"+Inf\"} %d\n" name (!cum + overflow);
-      Printf.bprintf b "%s_sum %g\n" name sum;
-      Printf.bprintf b "%s_count %d\n" name count
-
-let stats_report t =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "# noc serve metrics (%s)\n" Wire.protocol;
-  render_stats b (typed_stats t);
-  List.iter (render_metric b) (Noc_obs.Metrics.snapshot ());
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Request handling (the loop thread)                                  *)
 (* ------------------------------------------------------------------ *)
 
 let finish_job t conn ~id ?corr ~received_ns ~job ~hash ~cached outcome =
-  Noc_obs.Metrics.observe
-    (Lazy.force serve_metrics).m_submit_to_result_ms
+  Noc_obs.Metrics.observe t.m.m_submit_to_result_ms
     (Noc_obs.Clock.ms_between ~start_ns:received_ns
        ~stop_ns:(Noc_obs.Clock.now_ns ()));
-  t.config.telemetry.Telemetry.emit
+  t.config.telemetry.Noc_obs.Sink.emit
     (Telemetry.job_finished ?corr ~index:id ~job ~outcome ~cache_hit:cached ());
   Atomic.incr t.served;
   send conn (Wire.Result { id; job_hash = hash; outcome; cached })
 
 let handle_submit t conn ~id ?corr job =
-  let m = Lazy.force serve_metrics in
+  let m = t.m in
   let received_ns = Noc_obs.Clock.now_ns () in
   Noc_obs.Metrics.incr m.m_jobs;
   let hash = Job.hash job in
@@ -290,7 +237,7 @@ let handle_submit t conn ~id ?corr job =
     match if t.config.lint then Lint.vet_job job else Ok () with
     | Error reason ->
         Noc_obs.Metrics.incr m.m_rejected;
-        t.config.telemetry.Telemetry.emit
+        t.config.telemetry.Noc_obs.Sink.emit
           (Telemetry.job_finished ?corr ~index:id ~job
              ~outcome:(Outcome.failed ~wall_ms:0. reason) ~cache_hit:false ());
         send conn (Wire.Rejected { id; reason })
@@ -329,7 +276,7 @@ let handle_submit t conn ~id ?corr job =
               Atomic.decr conn.pending;
               wake t
             in
-            t.config.telemetry.Telemetry.emit
+            t.config.telemetry.Noc_obs.Sink.emit
               (Telemetry.job_submitted ?corr ~index:id ~job ~queue_depth:depth
                  ());
             if not (Noc_pool.Pool.try_submit t.pool task) then begin
@@ -340,18 +287,15 @@ let handle_submit t conn ~id ?corr job =
             end)
 
 let handle_request t conn request =
-  let m = Lazy.force serve_metrics in
   let request_hist =
     match request with
-    | Wire.Ping -> m.m_req_ping
-    | Wire.Stats -> m.m_req_stats
-    | Wire.Metrics -> m.m_req_metrics
-    | Wire.Submit _ -> m.m_req_submit
+    | Wire.Ping -> t.m.m_req_ping
+    | Wire.Metrics -> t.m.m_req_metrics
+    | Wire.Submit _ -> t.m.m_req_submit
   in
   let t0 = Noc_obs.Clock.now_ns () in
   (match request with
   | Wire.Ping -> send conn Wire.Pong
-  | Wire.Stats -> send conn (Wire.Stats_report (stats_report t))
   | Wire.Metrics -> send conn (metrics_report t)
   | Wire.Submit { id; corr; job } -> handle_submit t conn ~id ?corr job);
   Noc_obs.Metrics.observe request_hist
@@ -365,7 +309,7 @@ let handle_readable t conn buf =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | 0 ->
       conn.eof <- true;
-      t.config.telemetry.Telemetry.emit
+      t.config.telemetry.Noc_obs.Sink.emit
         (Telemetry.client_disconnected ~peer:conn.peer)
   | n ->
       Wire.feed conn.dec (Bytes.sub_string buf 0 n) ~off:0 ~len:n;
@@ -413,14 +357,14 @@ let accept t conns lfd =
   match Unix.accept lfd with
   | exception Unix.Unix_error (_, _, _) -> ()
   | fd, addr ->
-      Noc_obs.Metrics.incr (Lazy.force serve_metrics).m_connections;
+      Noc_obs.Metrics.incr t.m.m_connections;
       let peer =
         match addr with
         | Unix.ADDR_UNIX _ -> Printf.sprintf "unix#%d" (Atomic.get t.served)
         | Unix.ADDR_INET (host, port) ->
             Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port
       in
-      t.config.telemetry.Telemetry.emit (Telemetry.client_connected ~peer);
+      t.config.telemetry.Noc_obs.Sink.emit (Telemetry.client_connected ~peer);
       conns :=
         {
           fd;
@@ -445,7 +389,7 @@ let handle_scrape t lfd =
   match Unix.accept lfd with
   | exception Unix.Unix_error (_, _, _) -> ()
   | fd, _ ->
-      Noc_obs.Metrics.incr (Lazy.force serve_metrics).m_scrapes;
+      Noc_obs.Metrics.incr t.m.m_scrapes;
       (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0
        with Unix.Unix_error _ -> ());
       (try ignore (Unix.read fd (Bytes.create 4096) 0 4096)
@@ -484,15 +428,14 @@ let run t =
        | Some port -> [ tcp_listener port ])
   in
   let metrics_listener = Option.map tcp_listener t.config.metrics_addr in
-  let collector = Noc_obs.Series.start t.series in
   (match t.config.store with
   | Some store ->
-      t.config.telemetry.Telemetry.emit
+      t.config.telemetry.Noc_obs.Sink.emit
         (Telemetry.server_started ~socket:t.config.socket_path
            ~domains:t.config.domains
            ~store_entries:(Store.stats store).Store.entries)
   | None ->
-      t.config.telemetry.Telemetry.emit
+      t.config.telemetry.Noc_obs.Sink.emit
         (Telemetry.server_started ~socket:t.config.socket_path
            ~domains:t.config.domains ~store_entries:0));
   let conns = ref [] in
@@ -515,7 +458,7 @@ let run t =
     if stopping t && not !drain_announced then begin
       drain_announced := true;
       close_listeners ();
-      t.config.telemetry.Telemetry.emit
+      t.config.telemetry.Noc_obs.Sink.emit
         (Telemetry.drain_started ~inflight:(Atomic.get t.inflight))
     end;
     if stopping t && Atomic.get t.inflight = 0 then finished := true
@@ -560,16 +503,15 @@ let run t =
   done;
   (* Drained: no job will write again.  Joining the workers closes
      their pool.worker spans, so a --trace stream is balanced. *)
-  Noc_obs.Series.stop collector;
   Noc_pool.Pool.shutdown t.pool;
   List.iter close_conn !conns;
   close_listeners ();
   close_metrics_listener ();
   (try Sys.remove t.config.socket_path with Sys_error _ -> ());
   Option.iter Store.flush t.config.store;
-  t.config.telemetry.Telemetry.emit
+  t.config.telemetry.Noc_obs.Sink.emit
     (Telemetry.server_stopped ~jobs:(Atomic.get t.served)
        ~wall_ms:(1000. *. (Unix.gettimeofday () -. t.started_at)));
-  t.config.telemetry.Telemetry.close ();
+  t.config.telemetry.Noc_obs.Sink.close ();
   Unix.close t.wake_r;
   Unix.close t.wake_w

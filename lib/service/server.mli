@@ -22,19 +22,16 @@ type config = {
   queue_capacity : int;
       (** Bounded-queue depth; beyond it submissions get [Overloaded]. *)
   store : Store.t option;  (** Persistent result store (warm restarts). *)
-  telemetry : Telemetry.sink;
+  telemetry : Noc_obs.Sink.t;
   lint : bool;  (** Vet submissions before they reach the pool. *)
   slos : Noc_obs.Slo.t list;
       (** Objectives evaluated on every scrape and {!Wire.Metrics}
           reply; verdicts are exported as [noc_slo_ok] gauges. *)
-  series_interval_s : float;  (** Collector sampling period (s). *)
-  series_window : int;  (** Ring-buffer points kept per series. *)
 }
 
 val default_config : config
 (** [noc-serve.sock], no TCP, 2 domains, queue 64, no store, null
-    telemetry, lint on, no metrics listener, {!Noc_obs.Slo.defaults},
-    1 s series sampling over a 120-point window. *)
+    telemetry, lint on, no metrics listener, {!Noc_obs.Slo.defaults}. *)
 
 type t
 
@@ -55,17 +52,10 @@ val stop : t -> unit
 
 val stopping : t -> bool
 
-val stats_report : t -> string
-(** The legacy text report served for {!Wire.Stats}: serve gauges
-    (uptime, queue depth, in-flight, draining), store counters and hit
-    rate, then every instrument in the {!Noc_obs.Metrics} registry
-    (histograms as cumulative buckets).  Deprecated in favour of
-    {!metrics_report}; kept one release. *)
-
 val typed_stats : t -> Wire.stats
 (** The typed statistics record behind {!Wire.Metrics}. *)
 
 val metrics_report : t -> Wire.response
 (** The full {!Wire.Metrics_report} reply: typed stats, registry
-    snapshot with [noc_slo_ok] verdict gauges appended, series window,
-    and SLO verdicts. *)
+    snapshot with [noc_slo_ok] verdict gauges appended, and SLO
+    verdicts. *)

@@ -9,6 +9,8 @@
    than the arm being judged, with [host_cores] recorded so the report
    says which floors were actually in force. *)
 
+module Json = Noc_json.Json
+
 type job_entry = { label : string; job_hash : string; result_hash : string }
 type timing = { domains : int; wall_ms : float; jobs_per_s : float }
 
@@ -18,16 +20,9 @@ type t = {
   timings : timing list;
   replay_wall_ms : float;
   replay_hit_rate : float;
-  collector_off_wall_ms : float option;
-  collector_on_wall_ms : float option;
 }
 
 let schema = "bench-service/1"
-
-let collector_overhead report =
-  match (report.collector_off_wall_ms, report.collector_on_wall_ms) with
-  | Some off, Some on_ when off > 0. -> Some ((on_ -. off) /. off)
-  | _ -> None
 
 let wall_at report ~domains =
   List.find_opt (fun tm -> tm.domains = domains) report.timings
@@ -59,28 +54,16 @@ let to_json report =
         ("jobs_per_s", Json.Num tm.jobs_per_s);
       ]
   in
-  let collector_fields =
-    (* Absent on pre-collector baselines; emitted only when measured so
-       old reports keep their exact byte shape. *)
-    match (report.collector_off_wall_ms, report.collector_on_wall_ms) with
-    | Some off, Some on_ ->
-        [
-          ("collector_off_wall_ms", Json.Num off);
-          ("collector_on_wall_ms", Json.Num on_);
-        ]
-    | _ -> []
-  in
   Json.to_string_pretty
     (Json.Obj
-       ([
-          ("schema", Json.Str schema);
-          ("host_cores", Json.Num (float_of_int report.host_cores));
-          ("jobs", Json.Arr (List.map job_entry report.jobs));
-          ("timings", Json.Arr (List.map timing report.timings));
-          ("replay_wall_ms", Json.Num report.replay_wall_ms);
-          ("replay_hit_rate", Json.Num report.replay_hit_rate);
-        ]
-       @ collector_fields))
+       [
+         ("schema", Json.Str schema);
+         ("host_cores", Json.Num (float_of_int report.host_cores));
+         ("jobs", Json.Arr (List.map job_entry report.jobs));
+         ("timings", Json.Arr (List.map timing report.timings));
+         ("replay_wall_ms", Json.Num report.replay_wall_ms);
+         ("replay_hit_rate", Json.Num report.replay_hit_rate);
+       ])
   ^ "\n"
 
 let of_json text =
@@ -115,11 +98,6 @@ let of_json text =
                   (Json.to_list (Json.field "timings" root));
               replay_wall_ms = Json.to_num (Json.field "replay_wall_ms" root);
               replay_hit_rate = Json.to_num (Json.field "replay_hit_rate" root);
-              collector_off_wall_ms =
-                Option.map Json.to_num
-                  (Json.member "collector_off_wall_ms" root);
-              collector_on_wall_ms =
-                Option.map Json.to_num (Json.member "collector_on_wall_ms" root);
             }
       with Json.Parse_error msg -> Error msg)
 
@@ -130,8 +108,7 @@ let of_json text =
 let default_speedup_floors = [ (2, 1.6); (4, 2.5) ]
 
 let compare_to_baseline ?(speedup_floors = default_speedup_floors)
-    ?(max_replay_fraction = 0.5) ?(max_collector_overhead = 0.03)
-    ?(collector_slack_ms = 5.) ~baseline current =
+    ?(max_replay_fraction = 0.5) ~baseline current =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   (* Result hashes are deterministic outputs: any drift from the
@@ -160,23 +137,6 @@ let compare_to_baseline ?(speedup_floors = default_speedup_floors)
           (100. *. max_replay_fraction)
           cold
   | _ -> err "current report has no 1-domain timing");
-  (* The series collector must be close to free: a same-host ratio of
-     the same batch with and without the sampling domain, with a small
-     absolute slack so short runs do not fail on scheduler noise.
-     Like the speedup floors, only judged on hosts with a core to run
-     the collector domain on — on one core any second domain steals
-     real time by construction. *)
-  (match (collector_overhead current, current.collector_off_wall_ms,
-          current.collector_on_wall_ms) with
-  | Some overhead, Some off, Some on_ when current.host_cores >= 2 ->
-      if overhead > max_collector_overhead && on_ -. off > collector_slack_ms
-      then
-        err
-          "series collector costs %.1f%% of batch throughput (%.1f ms on vs \
-           %.1f ms off, limit %.0f%%)"
-          (100. *. overhead) on_ off
-          (100. *. max_collector_overhead)
-  | _ -> ());
   (* Parallel speedup floors — only judged on hosts that actually have
      the cores for the arm in question. *)
   List.iter
@@ -204,13 +164,5 @@ let pp ppf report =
         | Some s when tm.domains > 1 -> Printf.sprintf ", %.2fx" s
         | _ -> ""))
     report.timings;
-  Format.fprintf ppf "@,warm replay: %8.1f ms  (hit rate %.2f)"
-    report.replay_wall_ms report.replay_hit_rate;
-  (match (collector_overhead report, report.collector_off_wall_ms,
-          report.collector_on_wall_ms) with
-  | Some overhead, Some off, Some on_ ->
-      Format.fprintf ppf
-        "@,collector:   %8.1f ms on / %.1f ms off  (%+.1f%% overhead)" on_ off
-        (100. *. overhead)
-  | _ -> ());
-  Format.fprintf ppf "@]"
+  Format.fprintf ppf "@,warm replay: %8.1f ms  (hit rate %.2f)@]"
+    report.replay_wall_ms report.replay_hit_rate

@@ -22,12 +22,6 @@ type t = {
   timings : timing list;
   replay_wall_ms : float;
   replay_hit_rate : float;
-  collector_off_wall_ms : float option;
-      (** 1-domain batch wall time with the series collector stopped;
-          [None] on reports predating the telemetry surface. *)
-  collector_on_wall_ms : float option;
-      (** Same batch with a {!Noc_obs.Series} collector domain sampling
-          throughout. *)
 }
 
 val schema : string
@@ -37,10 +31,6 @@ val speedup : t -> domains:int -> float option
 (** Wall time of the 1-domain arm over the [domains] arm; [None] when
     either arm is missing or degenerate. *)
 
-val collector_overhead : t -> float option
-(** [(on - off) / off] when both collector arms are present; the
-    same-host cost of always-on telemetry sampling. *)
-
 val to_json : t -> string
 (** Stable, diff-friendly JSON. *)
 
@@ -49,8 +39,6 @@ val of_json : string -> (t, string) result
 val compare_to_baseline :
   ?speedup_floors:(int * float) list ->
   ?max_replay_fraction:float ->
-  ?max_collector_overhead:float ->
-  ?collector_slack_ms:float ->
   baseline:t ->
   t ->
   string list
@@ -64,11 +52,6 @@ val compare_to_baseline :
       [0.5]) of the cold 1-domain wall time;
     - for each [(domains, floor)] in [speedup_floors] (default
       [[(2, 1.6); (4, 2.5)]]), the measured speedup falling below
-      [floor] — checked only when [current.host_cores >= domains];
-    - the series-collector overhead exceeding [max_collector_overhead]
-      (default [0.03]) {e and} more than [collector_slack_ms] (default
-      [5.]) in absolute terms — skipped when either collector arm is
-      absent or the host has a single core (a second domain then
-      steals time by construction). *)
+      [floor] — checked only when [current.host_cores >= domains]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -19,11 +19,12 @@
    object and reports a miss, so one corrupted file costs one recompute
    rather than poisoning results. *)
 
-(* Lazy for the same reason as Result_cache: only processes that open
-   a store should carry its counter in their metric registry. *)
-let evictions_total = lazy (Noc_obs.Metrics.counter "noc_store_evictions_total")
-let hits_total = lazy (Noc_obs.Metrics.counter "noc_store_hits_total")
-let lookups_total = lazy (Noc_obs.Metrics.counter "noc_store_lookups_total")
+module Json = Noc_json.Json
+
+(* Looked up per use, for the same reason as Result_cache: only
+   processes that open a store carry its counters, and the registry
+   lookup is safe from any domain. *)
+let count name = Noc_obs.Metrics.incr (Noc_obs.Metrics.counter name)
 
 let object_schema = "noc-store/1"
 let index_schema = "noc-store-index/1"
@@ -144,7 +145,7 @@ let scan_objects dir =
 
 let create ~root ~capacity =
   if capacity < 1 then invalid_arg "Store.create: capacity < 1";
-  ignore (Lazy.force evictions_total);
+  ignore (Noc_obs.Metrics.counter "noc_store_evictions_total");
   ensure_dir root;
   let t =
     {
@@ -208,7 +209,7 @@ let decode_object ~key text =
       | _ -> Error "missing schema or job_hash")
 
 let find t key =
-  Noc_obs.Metrics.incr (Lazy.force lookups_total);
+  count "noc_store_lookups_total";
   locked t (fun () ->
       if not (Hashtbl.mem t.table key) then begin
         t.misses <- t.misses + 1;
@@ -224,7 +225,7 @@ let find t key =
             match decode_object ~key text with
             | Ok outcome ->
                 t.hits <- t.hits + 1;
-                Noc_obs.Metrics.incr (Lazy.force hits_total);
+                count "noc_store_hits_total";
                 touch t key;
                 Some outcome
             | Error _ ->
@@ -259,7 +260,7 @@ let store t key outcome =
           | oldest :: _ ->
               forget t oldest;
               t.evictions <- t.evictions + 1;
-              Noc_obs.Metrics.incr (Lazy.force evictions_total);
+              count "noc_store_evictions_total";
               true
         end
         else false

@@ -1,27 +1,11 @@
-(* Structured JSON-lines telemetry.  Events are plain Json objects with
-   a fixed envelope (ts, event) and are pushed through a pluggable
-   sink; sinks serialize concurrent emits internally, so workers on any
-   domain can log without coordination.  Telemetry is observability,
-   not results: timestamps and durations in here are free to vary
-   between runs while result hashes stay fixed.
+(* Structured JSON-lines telemetry events.  Events are plain Json
+   objects with a fixed envelope (ts, event), pushed through a
+   [Noc_obs.Sink.t]; sinks serialize concurrent emits internally, so
+   workers on any domain can log without coordination.  Telemetry is
+   observability, not results: timestamps and durations in here are
+   free to vary between runs while result hashes stay fixed. *)
 
-   The sink type itself lives in the observability layer
-   (Noc_obs.Sink) so the span tracer's noc-trace/1 export and this
-   event stream share one transport; it is re-exported here with its
-   fields, so existing callers see no difference. *)
-
-type sink = Noc_obs.Sink.t = { emit : Json.t -> unit; close : unit -> unit }
-
-let null = Noc_obs.Sink.null
-let line = Noc_obs.Sink.line
-let to_channel = Noc_obs.Sink.to_channel
-
-(* Atomic by construction: the stream accumulates in a temp file and
-   lands at [path] on close, so a killed batch run never leaves a
-   truncated half-line. *)
-let to_file = Noc_obs.Sink.to_file
-let memory = Noc_obs.Sink.memory
-let tee = Noc_obs.Sink.tee
+module Json = Noc_json.Json
 
 (* ------------------------------------------------------------------ *)
 (* Event constructors                                                  *)

@@ -1,47 +1,29 @@
-(** Structured JSON-lines telemetry for the batch service.
+(** Structured JSON-lines telemetry events for the batch service and
+    the daemon.
 
-    Every event is one JSON object per line with a fixed envelope
-    ([ts], [event]) plus event-specific fields.  Sinks are pluggable
-    and internally serialized, so worker domains emit without any
-    coordination.  Telemetry is observability, not results: nothing in
-    it participates in result hashing.
-
-    The sink type is the observability layer's {!Noc_obs.Sink.t}
-    (re-exported with its fields), so span traces and telemetry share
-    one transport — [Noc_obs.Export.to_sink] writes a [noc-trace/1]
-    stream through the very same sinks. *)
-
-type sink = Noc_obs.Sink.t = { emit : Json.t -> unit; close : unit -> unit }
-
-val null : sink
-val to_channel : out_channel -> sink
-(** Mutex-serialized writer; [close] flushes but does not close the
-    channel (the caller owns it). *)
-
-val to_file : string -> sink
-(** Atomic writer: events accumulate in a temp file next to [path] and
-    [close] renames it into place — a killed run never leaves a
-    truncated half-line at [path].
-    @raise Sys_error when the temp file cannot be created. *)
-
-val memory : unit -> sink * (unit -> Json.t list)
-(** In-memory sink and an accessor returning events oldest-first. *)
-
-val tee : sink -> sink -> sink
-
-val line : Json.t -> string
-(** The JSONL rendering of one event (no trailing newline). *)
+    Every event is one JSON object with a fixed envelope ([ts],
+    [event]) plus event-specific fields, written one per line through
+    a {!Noc_obs.Sink.t} — the same transport the span tracer's
+    [noc-trace/1] export uses.  Telemetry is observability, not
+    results: nothing in it participates in result hashing. *)
 
 (** Event constructors.  [index] is the job's position in its batch;
     [corr] is the wire-level correlation id (absent for in-process
     batch jobs), emitted as a ["corr"] field when present. *)
 
-val batch_started : jobs:int -> domains:int -> cache_capacity:int -> Json.t
+val batch_started :
+  jobs:int -> domains:int -> cache_capacity:int -> Noc_json.Json.t
 
 val job_submitted :
-  ?corr:string -> index:int -> job:Job.t -> queue_depth:int -> unit -> Json.t
+  ?corr:string ->
+  index:int ->
+  job:Job.t ->
+  queue_depth:int ->
+  unit ->
+  Noc_json.Json.t
 
-val job_started : ?corr:string -> index:int -> job:Job.t -> unit -> Json.t
+val job_started :
+  ?corr:string -> index:int -> job:Job.t -> unit -> Noc_json.Json.t
 
 val job_finished :
   ?corr:string ->
@@ -50,12 +32,12 @@ val job_finished :
   outcome:Outcome.t ->
   cache_hit:bool ->
   unit ->
-  Json.t
+  Noc_json.Json.t
 
-val queue_depth : depth:int -> Json.t
+val queue_depth : depth:int -> Noc_json.Json.t
 (** Gauge event: instantaneous pool queue depth at submission time. *)
 
-val cache_evicted : entries:int -> capacity:int -> Json.t
+val cache_evicted : entries:int -> capacity:int -> Noc_json.Json.t
 (** The result cache evicted its LRU entry while at [capacity];
     [entries] is the entry count after the eviction. *)
 
@@ -65,17 +47,19 @@ val batch_finished :
   failed:int ->
   cancelled:int ->
   cache_stats:Result_cache.stats ->
-  Json.t
+  Noc_json.Json.t
 
 (** Server lifecycle events ([noc_tool serve]); they share the sinks
     and envelope with the batch events above. *)
 
-val server_started : socket:string -> domains:int -> store_entries:int -> Json.t
-val client_connected : peer:string -> Json.t
-val client_disconnected : peer:string -> Json.t
+val server_started :
+  socket:string -> domains:int -> store_entries:int -> Noc_json.Json.t
 
-val drain_started : inflight:int -> Json.t
+val client_connected : peer:string -> Noc_json.Json.t
+val client_disconnected : peer:string -> Noc_json.Json.t
+
+val drain_started : inflight:int -> Noc_json.Json.t
 (** SIGTERM received: the server stopped accepting and is waiting for
     [inflight] jobs to finish. *)
 
-val server_stopped : jobs:int -> wall_ms:float -> Json.t
+val server_stopped : jobs:int -> wall_ms:float -> Noc_json.Json.t

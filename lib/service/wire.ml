@@ -20,14 +20,11 @@ let max_frame_bytes = 16 * 1024 * 1024
 
 type request =
   | Submit of { id : int; corr : string option; job : Job.t }
-  | Stats
   | Metrics
   | Ping
 
 (* The typed stats record behind the [Metrics] request — what
-   [Client.stats] returns and [noc_tool top] renders.  The legacy
-   [Stats]/[Stats_report] string pair stays one release for old
-   clients. *)
+   [Client.stats] returns and [noc_tool top] renders. *)
 
 type store_stats = {
   entries : int;
@@ -48,7 +45,6 @@ type stats = {
 type metrics_report = {
   mr_stats : stats;
   mr_metrics : Json.t;  (* noc-metrics/1 snapshot (Noc_obs.Expo.json) *)
-  mr_series : Json.t;  (* noc-series/1 window (Noc_obs.Series.to_json) *)
   mr_slo : Json.t;  (* SLO verdicts (Noc_obs.Slo.to_json) *)
 }
 
@@ -57,7 +53,6 @@ type response =
   | Result of { id : int; job_hash : string; outcome : Outcome.t; cached : bool }
   | Rejected of { id : int; reason : string }
   | Overloaded of { id : int; queue_depth : int }
-  | Stats_report of string
   | Metrics_report of metrics_report
   | Pong
   | Error_msg of string
@@ -121,7 +116,6 @@ let request_to_json = function
           | None -> []
           | Some c -> [ ("corr", Json.Str c) ])
         @ [ ("job", Job.to_json job) ])
-  | Stats -> Json.Obj [ ("type", Json.Str "stats") ]
   | Metrics -> Json.Obj [ ("type", Json.Str "metrics") ]
   | Ping -> Json.Obj [ ("type", Json.Str "ping") ]
 
@@ -157,7 +151,6 @@ let request_of_json v =
         | None -> Error "missing \"job\" field"
       in
       Ok (Submit { id; corr; job })
-  | "stats" -> Ok Stats
   | "metrics" -> Ok Metrics
   | "ping" -> Ok Ping
   | s -> Error (Printf.sprintf "unknown request type %S" s)
@@ -188,9 +181,7 @@ let response_to_json = function
           ("id", Json.Num (float_of_int id));
           ("queue_depth", Json.Num (float_of_int queue_depth));
         ]
-  | Stats_report report ->
-      Json.Obj [ ("type", Json.Str "stats"); ("report", Json.Str report) ]
-  | Metrics_report { mr_stats; mr_metrics; mr_series; mr_slo } ->
+  | Metrics_report { mr_stats; mr_metrics; mr_slo } ->
       let stats_json =
         Json.Obj
           ([
@@ -220,7 +211,6 @@ let response_to_json = function
           ("type", Json.Str "metrics");
           ("stats", stats_json);
           ("metrics", mr_metrics);
-          ("series", mr_series);
           ("slo", mr_slo);
         ]
   | Pong -> Json.Obj [ ("type", Json.Str "pong") ]
@@ -253,9 +243,6 @@ let response_of_json v =
       let* id = int_field "id" v in
       let* queue_depth = int_field "queue_depth" v in
       Ok (Overloaded { id; queue_depth })
-  | "stats" ->
-      let* report = str_field "report" v in
-      Ok (Stats_report report)
   | "metrics" ->
       let* stats_v =
         match Json.member "stats" v with
@@ -299,7 +286,6 @@ let response_of_json v =
            {
              mr_stats = { uptime_s; draining; queue_depth; inflight; store };
              mr_metrics = passthrough "metrics";
-             mr_series = passthrough "series";
              mr_slo = passthrough "slo";
            })
   | "pong" -> Ok Pong

@@ -26,10 +26,9 @@ type request =
           its job span and telemetry events, so one request is
           traceable across client log, wire, daemon telemetry, and
           trace stream.  Absent from pre-PR-8 clients. *)
-  | Stats  (** Ask for the legacy text metrics report (deprecated). *)
   | Metrics
       (** Ask for the typed {!metrics_report}: stats record, metrics
-          snapshot, series window, SLO verdicts. *)
+          snapshot, SLO verdicts. *)
   | Ping
 
 (** Typed server statistics (the {!Metrics} reply): what the one-shot
@@ -56,7 +55,6 @@ type metrics_report = {
   mr_metrics : Json.t;
       (** [noc-metrics/1] registry snapshot ({!Noc_obs.Expo.json}),
           including the [noc_slo_ok] verdict gauges. *)
-  mr_series : Json.t;  (** [noc-series/1] window ({!Noc_obs.Series}). *)
   mr_slo : Json.t;  (** SLO verdicts ({!Noc_obs.Slo.to_json}). *)
 }
 
@@ -71,7 +69,6 @@ type response =
           is draining. *)
   | Overloaded of { id : int; queue_depth : int }
       (** Backpressure: the bounded queue is full; resubmit later. *)
-  | Stats_report of string
   | Metrics_report of metrics_report
   | Pong
   | Error_msg of string  (** Protocol-level failure (unparsable frame…). *)

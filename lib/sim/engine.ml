@@ -35,13 +35,11 @@ type buffered = { flit : Packet.flit; mutable arrived : int }
 
 (* Observability: one span around the whole run, one span per batch of
    [span_cycle_batch] cycles (per-cycle spans would swamp the trace),
-   and process totals for injected/delivered flits.  Counters are lazy
-   so merely linking the simulator never adds sim rows to unrelated
-   metric snapshots. *)
+   and process totals for injected/delivered flits.  The counters are
+   looked up once per run, at its end: merely linking the simulator
+   never adds sim rows to unrelated metric snapshots, and the lookup is
+   idempotent and mutex-guarded, so runs on any domain are safe. *)
 let span_cycle_batch = 1024
-let flits_injected_total = lazy (Noc_obs.Metrics.counter "noc_sim_flits_injected_total")
-let flits_delivered_total = lazy (Noc_obs.Metrics.counter "noc_sim_flits_delivered_total")
-let deadlocks_total = lazy (Noc_obs.Metrics.counter "noc_sim_deadlocks_total")
 
 type chan_state = {
   channel : Channel.t;
@@ -330,14 +328,19 @@ let run ?(config = default_config) ?(on_event = fun (_ : Trace.event) -> ()) net
   in
   let conclude outcome =
     Noc_obs.Trace.finish !batch_span;
-    Noc_obs.Metrics.add (Lazy.force flits_injected_total) !injected_flits;
-    Noc_obs.Metrics.add (Lazy.force flits_delivered_total) !ejected_flits;
+    Noc_obs.Metrics.add
+      (Noc_obs.Metrics.counter "noc_sim_flits_injected_total")
+      !injected_flits;
+    Noc_obs.Metrics.add
+      (Noc_obs.Metrics.counter "noc_sim_flits_delivered_total")
+      !ejected_flits;
     let name, cycles =
       match outcome with
       | Completed s -> ("completed", s.Stats.cycles)
       | Timed_out s -> ("timed-out", s.Stats.cycles)
       | Deadlocked d ->
-          Noc_obs.Metrics.incr (Lazy.force deadlocks_total);
+          Noc_obs.Metrics.incr
+            (Noc_obs.Metrics.counter "noc_sim_deadlocks_total");
           ("deadlocked", d.cycle)
     in
     Noc_obs.Trace.add_attr run_span "outcome" (Noc_obs.Trace.Str name);

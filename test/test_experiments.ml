@@ -382,6 +382,45 @@ let test_sim_check_ring_demo () =
   | Noc_sim.Engine.Deadlocked _ | Noc_sim.Engine.Timed_out _ ->
       Alcotest.fail "ring must complete after removal"
 
+(* ------------------------------------------------------------------ *)
+(* Bench report                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The layout of the committed baselines (one entry per line, six
+   decimals), which must keep parsing. *)
+let committed_layout =
+  {|{
+  "schema": "bench-removal/1",
+  "entries": [
+    {"benchmark": "D36_8", "n_switches": 26, "iterations": 17, "vcs_added": 17, "incremental_ms": 1.100063, "rebuild_ms": 5.922079},
+    {"benchmark": "D36_8", "n_switches": 35, "iterations": 19, "vcs_added": 19, "incremental_ms": 1.578093, "rebuild_ms": 9.633064, "phases": {"cdg.build": 0.120000, "removal.run": 1.400000}}
+  ]
+}
+|}
+
+let test_bench_report_json () =
+  let entries =
+    match Bench_report.of_json committed_layout with
+    | Ok es -> es
+    | Error e -> Alcotest.failf "committed layout rejected: %s" e
+  in
+  check int_c "two entries" 2 (List.length entries);
+  let e = List.nth entries 1 in
+  check int_c "iterations" 19 e.Bench_report.iterations;
+  check bool_c "phases kept" true
+    (e.Bench_report.phases = [ ("cdg.build", 0.12); ("removal.run", 1.4) ]);
+  check bool_c "to_json/of_json round-trip" true
+    (Bench_report.of_json (Bench_report.to_json entries) = Ok entries);
+  check bool_c "a report passes against itself" true
+    (Bench_report.compare_to_baseline ~baseline:entries entries = []);
+  let drifted =
+    List.map (fun e -> { e with Bench_report.vcs_added = 0 }) entries
+  in
+  check int_c "vcs drift is caught per entry" 2
+    (List.length (Bench_report.compare_to_baseline ~baseline:entries drifted));
+  check bool_c "wrong schema rejected" true
+    (Result.is_error (Bench_report.of_json {|{"schema": "bench-removal/9"}|}))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -429,4 +468,5 @@ let () =
           tc "light load light latency" test_load_latency_low_load_is_light;
         ] );
       ("sim_check", [ tc "ring demo" test_sim_check_ring_demo ]);
+      ("bench_report", [ tc "json" test_bench_report_json ]);
     ]

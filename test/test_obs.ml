@@ -386,11 +386,10 @@ let prop_disabled_emits_nothing =
       Trace.events c = [] && Export.jsonl c = [ List.hd (Export.jsonl c) ])
 
 (* ------------------------------------------------------------------ *)
-(* Exposition, concurrency, and series properties                      *)
+(* Exposition and concurrency properties                               *)
 (* ------------------------------------------------------------------ *)
 
 module Expo = Noc_obs.Expo
-module Series = Noc_obs.Series
 
 (* Label values with every character the Prometheus text format must
    escape, plus the structural characters of the format itself. *)
@@ -492,26 +491,6 @@ let prop_concurrent_updates_lossless =
       counter_total "noc_test_concurrent_total" - c0 = domains * iters
       && histogram_count "noc_test_concurrent_ms" - h0 = domains * iters)
 
-let prop_series_round_trips =
-  (* A sampled ring buffer survives to_json/of_json byte-identically,
-     at any window size and past the wrap-around point. *)
-  QCheck.Test.make ~name:"series ring buffer round-trips through JSON"
-    ~count:30
-    QCheck.(pair (int_range 1 6) (int_range 0 15))
-    (fun (window, samples) ->
-      ignore (Metrics.counter "noc_test_series_total");
-      let t = Series.create ~interval_s:0.5 ~window () in
-      for i = 1 to samples do
-        Series.sample ~now_s:(float_of_int i) t
-      done;
-      match Series.of_json (Series.to_json t) with
-      | Error _ -> false
-      | Ok t' ->
-          Series.to_json t' = Series.to_json t
-          && List.for_all
-               (fun k -> List.length (Series.points t k) <= window)
-               (Series.keys t))
-
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -520,7 +499,6 @@ let qcheck_cases =
       prop_disabled_emits_nothing;
       prop_exposition_parses;
       prop_concurrent_updates_lossless;
-      prop_series_round_trips;
     ]
 
 let () =

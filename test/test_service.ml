@@ -1,4 +1,5 @@
 open Noc_service
+module Json = Noc_json.Json
 
 let check = Alcotest.check
 let bool_c = Alcotest.bool
@@ -385,6 +386,27 @@ let test_outcome_roundtrip () =
 (* Pool: order preservation and error propagation                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The gauges must exist as soon as [create] returns, so no worker
+   registers an instrument while its peers start their first tasks.
+   The registry is process-wide and never forgets an instrument, so
+   this must run before anything else in this executable creates a
+   pool. *)
+let test_pool_gauges_registered_at_create () =
+  let pool = Noc_pool.Pool.create ~domains:2 () in
+  Fun.protect ~finally:(fun () -> Noc_pool.Pool.shutdown pool) @@ fun () ->
+  let gauge name =
+    List.find_map
+      (function
+        | Noc_obs.Metrics.Gauge { name = n; value; _ } when n = name ->
+            Some value
+        | _ -> None)
+      (Noc_obs.Metrics.snapshot ())
+  in
+  check bool_c "noc_pool_workers counts the new workers" true
+    (match gauge "noc_pool_workers" with Some v -> v >= 2. | None -> false);
+  check bool_c "noc_pool_busy_workers registered before any task" true
+    (gauge "noc_pool_busy_workers" = Some 0.)
+
 let test_pool_preserves_order () =
   let xs = List.init 100 Fun.id in
   let expected = List.map (fun x -> x * x) xs in
@@ -530,7 +552,7 @@ let test_batch_timeout_classification () =
 (* ------------------------------------------------------------------ *)
 
 let test_telemetry_stream_shape () =
-  let sink, events = Telemetry.memory () in
+  let sink, events = Noc_obs.Sink.memory () in
   let jobs = [ List.hd (registry_jobs ()) ] in
   let cache = Result_cache.create ~capacity:4 in
   let _ =
@@ -553,7 +575,7 @@ let test_telemetry_stream_shape () =
     (fun e ->
       (* Every event is one parseable JSONL line with the envelope. *)
       check bool_c "has a timestamp" true (Json.member "ts" e <> None);
-      match Json.of_string (Telemetry.line e) with
+      match Json.of_string (Noc_obs.Sink.line e) with
       | Ok round -> check bool_c "line parses back" true (round = e)
       | Error msg -> Alcotest.failf "telemetry line does not parse: %s" msg)
     (events ())
@@ -563,13 +585,13 @@ let test_telemetry_to_file_atomic () =
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "events.jsonl" in
-  let sink = Telemetry.to_file path in
-  sink.Telemetry.emit (Telemetry.queue_depth ~depth:3);
-  sink.Telemetry.emit (Telemetry.cache_evicted ~entries:4 ~capacity:4);
+  let sink = Noc_obs.Sink.to_file path in
+  sink.Noc_obs.Sink.emit (Telemetry.queue_depth ~depth:3);
+  sink.Noc_obs.Sink.emit (Telemetry.cache_evicted ~entries:4 ~capacity:4);
   (* Atomicity contract: nothing visible at [path] until close renames
      the temp file into place — a killed run leaves no truncated file. *)
   check bool_c "absent before close" false (Sys.file_exists path);
-  sink.Telemetry.close ();
+  sink.Noc_obs.Sink.close ();
   check bool_c "present after close" true (Sys.file_exists path);
   let lines =
     In_channel.with_open_text path In_channel.input_all
@@ -635,7 +657,6 @@ let request_gen =
         in
         let* job = job_gen in
         return (Wire.Submit { id; corr; job }) );
-      (1, return Wire.Stats);
       (1, return Wire.Metrics);
       (1, return Wire.Ping);
     ]
@@ -664,10 +685,6 @@ let response_gen =
         let* queue_depth = int_bound 256 in
         return (Wire.Overloaded { id; queue_depth }) );
       ( 1,
-        map
-          (fun s -> Wire.Stats_report s)
-          (string_size ~gen:printable (int_bound 200)) );
-      ( 1,
         let* uptime_s = map float_of_int (int_bound 100_000) in
         let* draining = bool in
         let* queue_depth = int_bound 256 in
@@ -688,7 +705,6 @@ let response_gen =
                mr_stats =
                  { Wire.uptime_s; draining; queue_depth; inflight; store };
                mr_metrics = Json.Obj [ ("schema", Json.Str tag) ];
-               mr_series = Json.Arr [ Json.Num 1.; Json.Num 2. ];
                mr_slo = Json.Obj [ ("slos", Json.Arr []) ];
              }) );
       (1, return Wire.Pong);
@@ -887,6 +903,56 @@ let test_cache_eviction_bumps_obs_counter () =
 (* Server: in-process end-to-end, warm across a restart                *)
 (* ------------------------------------------------------------------ *)
 
+(* A raw noc-wire/1 connection, for frames the typed client cannot
+   send.  Reads time out so a silent server fails the test instead of
+   hanging it. *)
+let raw_connect socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  (fd, Wire.decoder ())
+
+let rec raw_next ((fd, dec) as conn) =
+  match Wire.next dec with
+  | Error e -> Alcotest.fail e
+  | Ok (Some json) -> json
+  | Ok None ->
+      let buf = Bytes.create 4096 in
+      let n = Unix.read fd buf 0 (Bytes.length buf) in
+      if n = 0 then Alcotest.fail "server closed the connection";
+      Wire.feed dec (Bytes.sub_string buf 0 n) ~off:0 ~len:n;
+      raw_next conn
+
+let raw_send (fd, _) frame =
+  ignore (Unix.write_substring fd frame 0 (String.length frame))
+
+(* The retired [stats] request is an unknown type now: the daemon
+   answers with an error frame and keeps the connection usable. *)
+let check_retired_stats_request socket =
+  let conn = raw_connect socket in
+  Fun.protect ~finally:(fun () -> Unix.close (fst conn)) @@ fun () ->
+  let next () = Wire.response_of_json (raw_next conn) in
+  (match next () with
+  | Ok (Wire.Hello _) -> ()
+  | _ -> Alcotest.fail "expected a hello frame");
+  raw_send conn (Wire.frame {|{"type":"stats"}|});
+  (match next () with
+  | Ok (Wire.Error_msg m) ->
+      check string_c "stats is an unknown request"
+        {|unknown request type "stats"|} m
+  | _ -> Alcotest.fail "expected an error reply to a stats request");
+  raw_send conn (Wire.encode_request Wire.Ping);
+  (match next () with
+  | Ok Wire.Pong -> ()
+  | _ -> Alcotest.fail "expected pong after the error");
+  raw_send conn (Wire.encode_request Wire.Metrics);
+  let reply = raw_next conn in
+  (match Wire.response_of_json reply with
+  | Ok (Wire.Metrics_report _) -> ()
+  | _ -> Alcotest.fail "expected a metrics report after the error");
+  check bool_c "metrics reply has no series member" true
+    (Json.member "series" reply = None)
+
 let test_server_end_to_end_warm_restart () =
   with_temp_dir (fun dir ->
       let socket = Filename.concat dir "serve.sock" in
@@ -924,6 +990,7 @@ let test_server_end_to_end_warm_restart () =
         (match Client.ping client with
         | Ok () -> ()
         | Error e -> Alcotest.failf "ping failed: %s" e);
+        check_retired_stats_request socket;
         let replies =
           match Client.submit_all client jobs ~on_result:(fun _ _ _ -> ()) with
           | Ok rs -> rs
@@ -1000,6 +1067,8 @@ let () =
         ] );
       ( "pool",
         [
+          Alcotest.test_case "gauges registered at create" `Quick
+            test_pool_gauges_registered_at_create;
           Alcotest.test_case "preserves order" `Quick test_pool_preserves_order;
           Alcotest.test_case "re-raises" `Quick test_pool_reraises;
         ] );
