@@ -178,6 +178,70 @@ let test_synthesize_switch_count_sweep () =
       Fixtures.check_valid (Printf.sprintf "D26_media@%d" n) net)
     [ 5; 14; 26 ]
 
+(* Golden pins over the whole cold-mix design space (every registry
+   benchmark x switches 2-26 x max_degree 3-5, as the service's
+   registry jobs synthesize it) and over the non-default options at
+   the default degree.  Any change to synthesis, routing or the power
+   model that moves a single byte of a saved design, or a single bit of
+   its power or area, changes a digest. *)
+let golden_switches = List.init 25 (fun i -> i + 2)
+
+let golden_design options (spec : Noc_benchmarks.Spec.t) n_switches =
+  match
+    Custom.synthesize ~options (spec.Noc_benchmarks.Spec.build ()) ~n_switches
+  with
+  | Ok net -> net
+  | Error e ->
+      Alcotest.failf "%s@%d: %s" spec.Noc_benchmarks.Spec.name n_switches e
+
+let test_golden_cold_mix_designs () =
+  let designs = Buffer.create (1 lsl 20) and power = Buffer.create 4096 in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun n_switches ->
+          List.iter
+            (fun d ->
+              let options =
+                { Custom.default_options with
+                  Custom.max_out_degree = d; max_in_degree = d }
+              in
+              let net = golden_design options spec n_switches in
+              Buffer.add_string designs (Io.save net);
+              let r = Noc_power.Report.of_network net in
+              Buffer.add_string power
+                (Printf.sprintf "%h %h\n" r.Noc_power.Report.total_power_mw
+                   r.Noc_power.Report.total_area_mm2))
+            [ 3; 4; 5 ])
+        golden_switches)
+    Noc_benchmarks.Registry.all;
+  let md5 b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  check Alcotest.string "designs" "3abc8bde149b9ad0e4dd9fde06d8adfc" (md5 designs);
+  check Alcotest.string "power" "27c025cfcfb27a42af0bfbc626764299" (md5 power)
+
+let test_golden_option_variants () =
+  let variants =
+    Custom.
+      [
+        { default_options with mapper = Min_cut };
+        { default_options with force_bidirectional = true };
+        { default_options with load_aware_routing = false };
+      ]
+  in
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun n_switches ->
+          List.iter
+            (fun options ->
+              Buffer.add_string b (Io.save (golden_design options spec n_switches)))
+            variants)
+        golden_switches)
+    Noc_benchmarks.Registry.all;
+  check Alcotest.string "variants" "da56107f48057f75ddf1bf00010a8f34"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ------------------------------------------------------------------ *)
 (* FM partitioning                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -468,6 +532,8 @@ let () =
           tc "degree budget" test_synthesize_respects_degree_budget_mostly;
           tc "deterministic" test_synthesize_deterministic;
           tc "switch count sweep" test_synthesize_switch_count_sweep;
+          tc "golden cold-mix designs and power" test_golden_cold_mix_designs;
+          tc "golden option variants" test_golden_option_variants;
         ] );
       ( "fm_partition",
         [
