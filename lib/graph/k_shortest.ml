@@ -9,44 +9,16 @@ end)
 
 let yen g ~weight ~k src dst =
   if k < 1 then invalid_arg "K_shortest.yen: k < 1";
-  (* Shortest path avoiding a set of edges and a set of vertices. *)
+  (* Shortest path avoiding a set of edges and a set of vertices: a
+     banned edge, or any edge into a banned vertex, weighs infinity and
+     so never relaxes. *)
   let restricted_shortest ~banned_edges ~banned_vertices s =
-    let n = Digraph.n_vertices g in
-    let dist = Array.make n infinity in
-    let parent = Array.make n (-1) in
-    let module Pq = Set.Make (struct
-      type t = float * int
-
-      let compare = compare
-    end) in
-    dist.(s) <- 0.;
-    let pq = ref (Pq.singleton (0., s)) in
-    while not (Pq.is_empty !pq) do
-      let ((d, u) as top) = Pq.min_elt !pq in
-      pq := Pq.remove top !pq;
-      if d <= dist.(u) then
-        Digraph.iter_succ
-          (fun v ->
-            if
-              (not (Hashtbl.mem banned_edges (u, v)))
-              && not (Hashtbl.mem banned_vertices v)
-            then begin
-              let w = weight u v in
-              if w < 0. then raise Paths.Negative_weight;
-              let d' = d +. w in
-              if d' < dist.(v) then begin
-                dist.(v) <- d';
-                parent.(v) <- u;
-                pq := Pq.add (d', v) !pq
-              end
-            end)
-          g u
-    done;
-    if dist.(dst) = infinity then None
-    else begin
-      let rec build v acc = if v = s then v :: acc else build parent.(v) (v :: acc) in
-      Some (dist.(dst), build dst [])
-    end
+    let masked u v =
+      if Hashtbl.mem banned_edges (u, v) || Hashtbl.mem banned_vertices v then
+        infinity
+      else weight u v
+    in
+    Paths.shortest_path g ~weight:masked s dst
   in
   let path_weight path = Paths.path_weight ~weight path in
   let no_bans () = (Hashtbl.create 1, Hashtbl.create 1) in
@@ -55,8 +27,10 @@ let yen g ~weight ~k src dst =
     restricted_shortest ~banned_edges:be ~banned_vertices:bv src
   with
   | None -> []
-  | Some (w0, p0) ->
-      let accepted = ref [ (w0, p0) ] in
+  | Some p0 ->
+      (* [path_weight] adds the edges from the source on, in the order
+         Dijkstra accumulated the distance, so it is that distance. *)
+      let accepted = ref [ (path_weight p0, p0) ] in
       let candidates = ref Candidates.empty in
       let rec grow () =
         if List.length !accepted >= k then ()
@@ -90,7 +64,7 @@ let yen g ~weight ~k src dst =
               root;
             (match restricted_shortest ~banned_edges ~banned_vertices spur with
             | None -> ()
-            | Some (_, spur_path) ->
+            | Some spur_path ->
                 let full =
                   root @ (match spur_path with _ :: rest -> rest | [] -> [])
                 in

@@ -2,14 +2,22 @@ exception Negative_weight
 
 (* A simple pairing of (distance, vertex) in a sorted set works as the
    priority queue; graphs in this project stay small (thousands of
-   vertices), so the O(log n) set operations are more than enough. *)
+   vertices), so the O(log n) set operations are more than enough.  The
+   comparison orders pairs as [Stdlib.compare] does, without its
+   generic traversal. *)
 module Pq = Set.Make (struct
   type t = float * int
 
-  let compare = compare
+  let compare (d1, v1) (d2, v2) =
+    match Float.compare d1 d2 with 0 -> Int.compare v1 v2 | c -> c
 end)
 
-let dijkstra g ~weight src =
+(* The one Dijkstra.  Vertices settle in (distance, id) order and an
+   edge relaxes only on a strict improvement, so a vertex's parent is
+   final once it settles.  Stopping when [target] settles therefore
+   yields exactly the parents the full search would give every vertex
+   settled so far; [target = -1] settles everything reachable. *)
+let search g ~weight ~target src =
   let n = Digraph.n_vertices g in
   let dist = Array.make n infinity in
   let parent = Array.make n (-1) in
@@ -18,24 +26,28 @@ let dijkstra g ~weight src =
   while not (Pq.is_empty !pq) do
     let ((d, u) as top) = Pq.min_elt !pq in
     pq := Pq.remove top !pq;
-    if d <= dist.(u) then begin
-      let relax v =
-        let w = weight u v in
-        if w < 0. then raise Negative_weight;
-        let d' = d +. w in
-        if d' < dist.(v) then begin
-          dist.(v) <- d';
-          parent.(v) <- u;
-          pq := Pq.add (d', v) !pq
-        end
-      in
-      Digraph.iter_succ relax g u
-    end
+    if d <= dist.(u) then
+      if u = target then pq := Pq.empty
+      else begin
+        let relax v =
+          let w = weight u v in
+          if w < 0. then raise Negative_weight;
+          let d' = d +. w in
+          if d' < dist.(v) then begin
+            dist.(v) <- d';
+            parent.(v) <- u;
+            pq := Pq.add (d', v) !pq
+          end
+        in
+        Digraph.iter_succ relax g u
+      end
   done;
   (dist, parent)
 
+let dijkstra g ~weight src = search g ~weight ~target:(-1) src
+
 let shortest_path g ~weight src dst =
-  let dist, parent = dijkstra g ~weight src in
+  let dist, parent = search g ~weight ~target:dst src in
   if dist.(dst) = infinity then None
   else begin
     let rec build v acc = if v = src then v :: acc else build parent.(v) (v :: acc) in

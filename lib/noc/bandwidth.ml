@@ -15,24 +15,14 @@ type t = {
 let analyze ~capacity_mbps net =
   if capacity_mbps <= 0. then invalid_arg "Bandwidth.analyze: capacity <= 0";
   let topo = Network.topology net in
+  let loads = Network.loads net in
   let usage (l : Topology.link) =
-    let flows =
-      List.filter_map
-        (fun (f : Traffic.flow) ->
-          let crosses =
-            List.exists
-              (fun c -> Ids.Link.equal (Channel.link c) l.Topology.id)
-              (Network.route net f.Traffic.id)
-          in
-          if crosses then Some f.Traffic.id else None)
-        (Traffic.flows (Network.traffic net))
-    in
-    let load_mbps = Network.link_load net l.Topology.id in
+    let load_mbps = Network.load_on_link loads l.Topology.id in
     {
       link = l.Topology.id;
       load_mbps;
       utilization = load_mbps /. capacity_mbps;
-      flows;
+      flows = Network.flows_on_link loads l.Topology.id;
     }
   in
   let usages = List.map usage (Topology.links topo) in

@@ -4,6 +4,7 @@ let topology ?(name = "topology") net =
      per link via the edge-attribute hook keyed on (src, dst).  DOT
      collapses parallel edges only if we let it, so links are emitted
      directly instead. *)
+  let loads = Network.loads net in
   let b = Buffer.create 1024 in
   Buffer.add_string b (Printf.sprintf "digraph \"%s\" {\n" name);
   for s = 0 to Topology.n_switches topo - 1 do
@@ -12,7 +13,7 @@ let topology ?(name = "topology") net =
   List.iter
     (fun (l : Topology.link) ->
       let vcs = Topology.vc_count topo l.Topology.id in
-      let load = Network.link_load net l.Topology.id in
+      let load = Network.load_on_link loads l.Topology.id in
       Buffer.add_string b
         (Printf.sprintf "  s%d -> s%d [label=\"L%d (%d VC, %.0f MB/s)\"%s];\n"
            (Ids.Switch.to_int l.Topology.src)

@@ -17,10 +17,11 @@ let of_network net =
   let n_routed_flows = List.length routes in
   let hop_total = List.fold_left (fun acc (_, r) -> acc + Route.length r) 0 routes in
   let max_hops = List.fold_left (fun acc (_, r) -> max acc (Route.length r)) 0 routes in
+  let table = Network.loads net in
   let loads =
     List.filter_map
       (fun (l : Topology.link) ->
-        let load = Network.link_load net l.Topology.id in
+        let load = Network.load_on_link table l.Topology.id in
         if load > 0. then Some load else None)
       (Topology.links topo)
   in

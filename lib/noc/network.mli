@@ -35,7 +35,23 @@ val copy : t -> t
 val channel_load : t -> Channel.t -> float
 (** Total bandwidth of the flows routed over the channel. *)
 
-val link_load : t -> Ids.Link.t -> float
+type loads
+(** What the current routes put on each link and inject at each
+    switch. *)
+
+val loads : t -> loads
+(** One pass over the routes in flow-id order.  Sums add the flows in
+    that order, and a flow crossing one link on several VCs counts once
+    on it.  Channels naming no link of the topology are ignored.  The
+    table is a snapshot: re-take it after changing routes. *)
+
+val load_on_link : loads -> Ids.Link.t -> float
 (** Total bandwidth over all VCs of a link. *)
+
+val flows_on_link : loads -> Ids.Link.t -> Ids.Flow.t list
+(** The flows crossing a link, in id order. *)
+
+val injected_at : loads -> Ids.Switch.t -> float
+(** Total bandwidth of the flows whose route starts at the switch. *)
 
 val pp : Format.formatter -> t -> unit

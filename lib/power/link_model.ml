@@ -7,9 +7,9 @@ type breakdown = {
   area_um2 : float;
 }
 
-let analyze (p : Params.t) floorplan net l =
+let analyze (p : Params.t) floorplan loads l =
   let length_mm = Noc_synth.Floorplan.link_length_mm floorplan l in
-  let bits_per_s = Network.link_load net l *. 1.0e6 *. 8. in
+  let bits_per_s = Network.load_on_link loads l *. 1.0e6 *. 8. in
   let dynamic_mw =
     bits_per_s *. p.Params.e_wire_pj_per_bit_mm *. length_mm /. 1.0e9
   in

@@ -9,6 +9,8 @@ type breakdown = {
   area_um2 : float;
 }
 
-val analyze : Params.t -> Noc_synth.Floorplan.t -> Network.t -> Ids.Link.t -> breakdown
+val analyze :
+  Params.t -> Noc_synth.Floorplan.t -> Network.loads -> Ids.Link.t -> breakdown
+(** Wire power and area of one link carrying its load in the table. *)
 
 val pp_breakdown : Format.formatter -> breakdown -> unit

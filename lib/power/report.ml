@@ -16,13 +16,15 @@ type t = {
 let of_network ?(params = Params.default_65nm) net =
   let topo = Network.topology net in
   let floorplan = Noc_synth.Floorplan.make topo in
+  let loads = Network.loads net in
   let switches =
     List.init (Topology.n_switches topo) (fun i ->
-        Switch_model.analyze params net (Ids.Switch.of_int i))
+        Switch_model.analyze params net loads (Ids.Switch.of_int i))
   in
   let links =
     List.map
-      (fun (l : Topology.link) -> Link_model.analyze params floorplan net l.Topology.id)
+      (fun (l : Topology.link) ->
+        Link_model.analyze params floorplan loads l.Topology.id)
       (Topology.links topo)
   in
   let sum f xs = List.fold_left (fun acc x -> acc +. f x) 0. xs in

@@ -10,7 +10,7 @@ type breakdown = {
   area_um2 : float;
 }
 
-let analyze (p : Params.t) net s =
+let analyze (p : Params.t) net loads s =
   let topo = Network.topology net in
   let in_links = Topology.in_links topo s in
   let out_links = Topology.out_links topo s in
@@ -31,22 +31,11 @@ let analyze (p : Params.t) net s =
      requests the allocator once. *)
   let arriving_mbps =
     List.fold_left
-      (fun acc (l : Topology.link) -> acc +. Network.link_load net l.Topology.id)
+      (fun acc (l : Topology.link) -> acc +. Network.load_on_link loads l.Topology.id)
       0. in_links
   in
   (* Locally injected traffic also crosses the crossbar. *)
-  let injected_mbps =
-    List.fold_left
-      (fun acc (f : Traffic.flow) ->
-        match Network.route net f.Traffic.id with
-        | first :: _ ->
-            let l = Topology.link topo (Channel.link first) in
-            if Ids.Switch.equal l.Topology.src s then acc +. f.Traffic.bandwidth
-            else acc
-        | [] -> acc)
-      0.
-      (Traffic.flows (Network.traffic net))
-  in
+  let injected_mbps = Network.injected_at loads s in
   let bits_per_s mbps = mbps *. 1.0e6 *. 8. in
   let flits_per_s mbps = bits_per_s mbps /. flit_bits in
   let dynamic_pj_per_s =

@@ -19,8 +19,9 @@ type breakdown = {
   area_um2 : float;
 }
 
-val analyze : Params.t -> Network.t -> Ids.Switch.t -> breakdown
-(** Power/area of one switch under the network's routed traffic. *)
+val analyze : Params.t -> Network.t -> Network.loads -> Ids.Switch.t -> breakdown
+(** Power/area of one switch under the network's routed traffic, read
+    from [Network.loads net]. *)
 
 val total_mw : breakdown -> float
 

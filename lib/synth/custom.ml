@@ -39,11 +39,26 @@ let synthesize ?(options = default_options) traffic ~n_switches =
   let topo = Topology.create ~n_switches in
   let demand = demands traffic mapping n_switches in
   let out_deg = Array.make n_switches 0 and in_deg = Array.make n_switches 0 in
+  (* The switch graph grows with the topology, and [reach.(a)] caches
+     the switches reachable from [a] until the next link is added. *)
+  let graph = Noc_graph.Digraph.create ~initial_capacity:n_switches () in
+  Noc_graph.Digraph.ensure_vertex graph (n_switches - 1);
+  let reach = Array.make n_switches None in
   let add_link a b =
     ignore
       (Topology.add_link topo ~src:(Ids.Switch.of_int a) ~dst:(Ids.Switch.of_int b));
+    Noc_graph.Digraph.add_edge graph a b;
+    Array.fill reach 0 n_switches None;
     out_deg.(a) <- out_deg.(a) + 1;
     in_deg.(b) <- in_deg.(b) + 1
+  in
+  let reachable a b =
+    match reach.(a) with
+    | Some r -> r.(b)
+    | None ->
+        let r = Noc_graph.Traversal.reachable graph a in
+        reach.(a) <- Some r;
+        r.(b)
   in
   (* Pass 1: direct links for the heaviest demands while the degree
      budget lasts.  Sorting is (demand desc, then pair asc) so the
@@ -70,18 +85,7 @@ let synthesize ?(options = default_options) traffic ~n_switches =
      spare degree, or add a direct link as last resort (technology
      constraints bend before unroutable designs do, as in the paper's
      discussion of [18]/[21]). *)
-  let reachable_matrix () =
-    let g = Topology.switch_graph topo in
-    Array.init n_switches (fun s -> Noc_graph.Traversal.reachable g s)
-  in
-  let needed =
-    List.filter (fun (_, a, b) -> a <> b) (List.map (fun (w, a, b) -> (w, a, b)) sorted)
-  in
-  let fix (_, a, b) =
-    let reach = reachable_matrix () in
-    if not reach.(a).(b) then add_link a b
-  in
-  List.iter fix needed;
+  List.iter (fun (_, a, b) -> if not (reachable a b) then add_link a b) sorted;
   if options.force_bidirectional then begin
     (* Open the reverse direction wherever it is missing, ignoring the
        degree budget: this is the "make connections bidirectional"

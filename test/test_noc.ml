@@ -252,9 +252,37 @@ let test_network_loads () =
   let net = ring.Fixtures.net in
   (* L0 (the paper's L1) carries F1, F3 and F4, 100 MB/s each. *)
   check (Alcotest.float 1e-9) "channel load" 300. (Network.channel_load net (ch 0));
-  check (Alcotest.float 1e-9) "link load" 300. (Network.link_load net (Fixtures.lk 0));
+  check (Alcotest.float 1e-9) "link load" 300.
+    (Network.load_on_link (Network.loads net) (Fixtures.lk 0));
   check (Alcotest.float 1e-9) "other vc empty" 0.
     (Network.channel_load net (ch ~vc:1 0))
+
+let test_network_load_table () =
+  let ring = Fixtures.paper_ring () in
+  let net = ring.Fixtures.net in
+  let loads = Network.loads net in
+  let flow_ids l =
+    List.map Ids.Flow.to_int (Network.flows_on_link loads (Fixtures.lk l))
+  in
+  check Alcotest.(list int) "flows on L0, id order" [ 0; 2; 3 ] (flow_ids 0);
+  check Alcotest.(list int) "flows on L3" [ 1; 2 ] (flow_ids 3);
+  (* F0 and F3 start at switch 0, F1 at 2, F2 at 3. *)
+  check (Alcotest.float 1e-9) "injected at 0" 200. (Network.injected_at loads (sw 0));
+  check (Alcotest.float 1e-9) "injected at 1" 0. (Network.injected_at loads (sw 1));
+  check (Alcotest.float 1e-9) "injected at 3" 100. (Network.injected_at loads (sw 3))
+
+let test_network_load_counts_flow_once_per_link () =
+  (* F0 crosses L0 on two VCs: the link carries it once, as a scan of
+     the flows asking "does the route touch L0?" would count it. *)
+  let ring = Fixtures.paper_ring () in
+  let net = ring.Fixtures.net in
+  ignore (Topology.add_vc (Network.topology net) (Fixtures.lk 0));
+  Network.set_route net ring.Fixtures.flows.(0) [ ch 0; ch ~vc:1 0; ch 1; ch 2 ];
+  let loads = Network.loads net in
+  check (Alcotest.float 1e-9) "counted once" 300.
+    (Network.load_on_link loads (Fixtures.lk 0));
+  check Alcotest.(list int) "listed once" [ 0; 2; 3 ]
+    (List.map Ids.Flow.to_int (Network.flows_on_link loads (Fixtures.lk 0)))
 
 let test_network_copy_isolated () =
   let ring = Fixtures.paper_ring () in
@@ -859,12 +887,81 @@ let prop_tables_consistent =
       let net = build_random_net input in
       Tables.check net (Tables.compile net) = Ok ())
 
+(* Routing against the per-flow reference in [Routing_oracle] on
+   topologies synthesis never builds: parallel links (so the "smallest
+   weight, then smallest link id" tie-break decides), bandwidth ties
+   (so the load-aware order ties on flow id), several cores per switch,
+   and switch pairs with no path. *)
+let oracle_net_gen =
+  QCheck.Gen.(
+    let* n_switches = int_range 1 8 in
+    let* links =
+      list_size (int_bound 24)
+        (pair (int_bound (n_switches - 1)) (int_bound (n_switches - 1)))
+    in
+    let* n_cores = int_range 2 10 in
+    let* mapping = list_repeat n_cores (int_bound (n_switches - 1)) in
+    let* flows =
+      list_size (int_range 1 16)
+        (triple (int_bound (n_cores - 1)) (int_bound (n_cores - 1))
+           (oneofl [ 10.; 10.; 20.; 30. ]))
+    in
+    let* salt = int_bound 2 in
+    return (n_switches, links, mapping, flows, salt))
+
+let build_oracle_net (n_switches, links, mapping, flows, _) =
+  let topo = Topology.create ~n_switches in
+  List.iter
+    (fun (a, b) -> if a <> b then ignore (Topology.add_link topo ~src:(sw a) ~dst:(sw b)))
+    links;
+  let traffic = Traffic.create ~n_cores:(List.length mapping) in
+  List.iter
+    (fun (a, b, bandwidth) ->
+      if a <> b then
+        ignore (Traffic.add_flow traffic ~src:(core a) ~dst:(core b) ~bandwidth))
+    flows;
+  let mapping = Array.of_list mapping in
+  Network.make ~topology:topo ~traffic ~mapping:(fun c ->
+      sw mapping.(Ids.Core.to_int c))
+
+let prop_routing_matches_oracle =
+  QCheck.Test.make ~name:"routing matches the per-flow reference" ~count:500
+    (QCheck.make
+       ~print:(fun (n, links, mapping, flows, salt) ->
+         let pairs l = String.concat " " (List.map (fun (a, b) -> Printf.sprintf "%d>%d" a b) l) in
+         Printf.sprintf "switches=%d links=[%s] mapping=[%s] flows=[%s] salt=%d" n
+           (pairs links)
+           (String.concat " " (List.map string_of_int mapping))
+           (String.concat " "
+              (List.map (fun (a, b, w) -> Printf.sprintf "%d>%d@%g" a b w) flows))
+           salt)
+       oracle_net_gen)
+    (fun ((_, _, _, _, salt) as input) ->
+      let net = build_oracle_net input in
+      (* Weights that differ between parallel links, with ties. *)
+      let weight (l : Topology.link) =
+        float_of_int (1 + (((Ids.Link.to_int l.Topology.id * 5) + salt) mod 3))
+      in
+      let same_pass route_all oracle =
+        let a = Network.copy net and b = Network.copy net in
+        route_all a = oracle b && Network.routes a = Network.routes b
+      in
+      List.for_all
+        (fun (f : Traffic.flow) ->
+          Routing.route_flow net f.Traffic.id = Routing_oracle.route_flow net f.Traffic.id
+          && Routing.route_flow ~weight net f.Traffic.id
+             = Routing_oracle.route_flow ~weight net f.Traffic.id)
+        (Traffic.flows (Network.traffic net))
+      && same_pass (fun n -> Routing.route_all n) (fun n -> Routing_oracle.route_all n)
+      && same_pass (Routing.route_all ~weight) (Routing_oracle.route_all ~weight)
+      && same_pass Routing.route_all_load_aware Routing_oracle.route_all_load_aware)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_routing_valid; prop_cdg_edges_head_to_tail;
       prop_cdg_deps_bounded_by_route_pairs; prop_io_roundtrip;
-      prop_io_parser_total; prop_tables_consistent;
+      prop_io_parser_total; prop_tables_consistent; prop_routing_matches_oracle;
     ]
 
 let () =
@@ -916,6 +1013,8 @@ let () =
           tc "routes roundtrip" test_network_routes_roundtrip;
           tc "endpoints" test_network_endpoints;
           tc "loads" test_network_loads;
+          tc "load table" test_network_load_table;
+          tc "load counts a flow once per link" test_network_load_counts_flow_once_per_link;
           tc "copy isolated" test_network_copy_isolated;
         ] );
       ( "cdg",

@@ -49,7 +49,7 @@ let ring_net () = (Fixtures.paper_ring ()).Fixtures.net
 
 let test_switch_ports () =
   let net = ring_net () in
-  let b = Switch_model.analyze params net (sw 0) in
+  let b = Switch_model.analyze params net (Network.loads net) (sw 0) in
   (* Each ring switch: 1 in link + local, 1 out link + local. *)
   check int_c "in ports" 2 b.Switch_model.in_ports;
   check int_c "out ports" 2 b.Switch_model.out_ports;
@@ -57,7 +57,7 @@ let test_switch_ports () =
 
 let test_switch_power_positive () =
   let net = ring_net () in
-  let b = Switch_model.analyze params net (sw 0) in
+  let b = Switch_model.analyze params net (Network.loads net) (sw 0) in
   check bool_c "dynamic > 0 (loaded)" true (b.Switch_model.dynamic_mw > 0.);
   check bool_c "leakage > 0" true (b.Switch_model.leakage_mw > 0.);
   check bool_c "area > 0" true (b.Switch_model.area_um2 > 0.);
@@ -67,10 +67,10 @@ let test_switch_power_positive () =
 
 let test_vc_increases_static_not_dynamic () =
   let net = ring_net () in
-  let before = Switch_model.analyze params net (sw 1) in
+  let before = Switch_model.analyze params net (Network.loads net) (sw 1) in
   (* Add a VC on the link into switch 1 (link L0). *)
   ignore (Topology.add_vc (Network.topology net) (Fixtures.lk 0));
-  let after = Switch_model.analyze params net (sw 1) in
+  let after = Switch_model.analyze params net (Network.loads net) (sw 1) in
   check int_c "one more buffer" (before.Switch_model.vc_buffers + 1)
     after.Switch_model.vc_buffers;
   check bool_c "leakage grows" true
@@ -92,12 +92,12 @@ let test_dynamic_scales_with_load () =
   ignore double;
   (* Simpler: scale by replacing routes with double-bandwidth flows is
      invasive; instead compare a loaded switch against an idle one. *)
-  let loaded = Switch_model.analyze params light (sw 1) in
+  let loaded = Switch_model.analyze params light (Network.loads light) (sw 1) in
   let idle_net = (Fixtures.paper_ring ()).Fixtures.net in
   List.iter
     (fun (f, _) -> Network.set_route idle_net f [])
     (Network.routes idle_net);
-  let idle = Switch_model.analyze params idle_net (sw 1) in
+  let idle = Switch_model.analyze params idle_net (Network.loads idle_net) (sw 1) in
   check bool_c "loaded switch burns more dynamic" true
     (loaded.Switch_model.dynamic_mw > idle.Switch_model.dynamic_mw);
   check float_c "idle dynamic is zero" 0. idle.Switch_model.dynamic_mw
@@ -119,8 +119,8 @@ let test_link_power_scales_with_length () =
   in
   Network.set_route net f1 [ Channel.make short 0 ];
   let fp = Noc_synth.Floorplan.make topo in
-  let b_short = Link_model.analyze params fp net short in
-  let b_long = Link_model.analyze params fp net long in
+  let b_short = Link_model.analyze params fp (Network.loads net) short in
+  let b_long = Link_model.analyze params fp (Network.loads net) long in
   check bool_c "longer wire, more area" true
     (b_long.Link_model.area_um2 > b_short.Link_model.area_um2);
   check bool_c "loaded short link burns power" true
