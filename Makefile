@@ -5,7 +5,7 @@
 DUNE ?= dune
 
 .PHONY: all build test fmt lint prove trace serve-smoke top-smoke sim-smoke \
-  race-smoke clean-tree bench bench-gate ci clean
+  race-smoke nocbench-smoke clean-tree bench bench-gate ci clean
 
 all: build
 
@@ -153,6 +153,24 @@ race-smoke:
 	cat "$$dir/run1.txt"; \
 	echo "race-smoke: OK (20 service runs, 3 identical 4-domain batches)"
 
+# The daemon-benchmark correctness smoke, run by the nocbench-smoke CI
+# job: each nocbench workload for 5 s.  Its result line must say every
+# reply was correct (result hashes against the traced replay, warm-cache
+# hits on warm-replay, Campaign.verify on sim-campaign) and no job
+# failed.  About a minute on 2 cores.
+nocbench-smoke:
+	@set -e; \
+	for w in cold-mix warm-replay sim-campaign; do \
+	  line="$$(bash nocbench/run.sh --workload $$w --seed 1 --seconds 5 \
+	    --trace 0 | tail -n 1)"; \
+	  echo "$$w: $$line" | cut -c 1-160; \
+	  echo "$$line" | grep -q '"correct":true' \
+	    || { echo "nocbench-smoke: $$w replies not all correct"; exit 1; }; \
+	  echo "$$line" | grep -q '"failed":0' \
+	    || { echo "nocbench-smoke: $$w had failed jobs"; exit 1; }; \
+	done; \
+	echo "nocbench-smoke: OK (3 workloads, every reply correct, 0 failed)"
+
 clean-tree:
 	@if git ls-files _build | grep -q .; then \
 	  echo "clean-tree: _build/ artifacts are tracked in git"; \
@@ -191,7 +209,7 @@ bench-gate: bench
 	  bench/baseline/BENCH_sim.json BENCH_sim.json
 
 ci: build test fmt lint prove trace clean-tree bench-gate top-smoke sim-smoke \
-  race-smoke
+  race-smoke nocbench-smoke
 
 clean:
 	$(DUNE) clean

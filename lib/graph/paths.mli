@@ -18,7 +18,10 @@ val dijkstra :
 
 val shortest_path :
   Digraph.t -> weight:(int -> int -> float) -> int -> int -> int list option
-(** Minimum-weight path [[src; ...; dst]], or [None]. *)
+(** Minimum-weight path [[src; ...; dst]], or [None].  The search
+    stops once [dst] settles; the path is the one {!dijkstra}'s parent
+    array gives (vertices settle in (distance, id) order, and an edge
+    relaxes only on a strict improvement). *)
 
 val path_weight : weight:(int -> int -> float) -> int list -> float
 (** Total weight of a path given as a vertex list; [0.] on paths with

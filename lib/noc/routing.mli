@@ -6,13 +6,14 @@ val route_flow :
   ?weight:(Topology.link -> float) -> Network.t -> Ids.Flow.t ->
   (Route.t, string) result
 (** Minimum-weight route for one flow (default weight: 1 per hop).
-    When parallel links exist between two switches the smallest link
-    id is used.  Returns [Error] when the destination switch is
+    Between parallel links the smallest weight wins, then the smallest
+    link id.  Returns [Error] when the destination switch is
     unreachable. *)
 
 val route_all :
   ?weight:(Topology.link -> float) -> Network.t -> (unit, string) result
-(** Routes every flow with {!route_flow} and installs the results.
+(** Routes every flow in id order as {!route_flow} would, building the
+    switch graph and the link table once, and installs the results.
     Stops at the first unroutable flow. *)
 
 val route_all_load_aware : Network.t -> (unit, string) result

@@ -252,15 +252,11 @@ let test_network_loads () =
   let net = ring.Fixtures.net in
   (* L0 (the paper's L1) carries F1, F3 and F4, 100 MB/s each. *)
   check (Alcotest.float 1e-9) "channel load" 300. (Network.channel_load net (ch 0));
-  check (Alcotest.float 1e-9) "link load" 300.
-    (Network.load_on_link (Network.loads net) (Fixtures.lk 0));
-  check (Alcotest.float 1e-9) "other vc empty" 0.
-    (Network.channel_load net (ch ~vc:1 0))
-
-let test_network_load_table () =
-  let ring = Fixtures.paper_ring () in
-  let net = ring.Fixtures.net in
   let loads = Network.loads net in
+  check (Alcotest.float 1e-9) "link load" 300.
+    (Network.load_on_link loads (Fixtures.lk 0));
+  check (Alcotest.float 1e-9) "other vc empty" 0.
+    (Network.channel_load net (ch ~vc:1 0));
   let flow_ids l =
     List.map Ids.Flow.to_int (Network.flows_on_link loads (Fixtures.lk l))
   in
@@ -1013,7 +1009,6 @@ let () =
           tc "routes roundtrip" test_network_routes_roundtrip;
           tc "endpoints" test_network_endpoints;
           tc "loads" test_network_loads;
-          tc "load table" test_network_load_table;
           tc "load counts a flow once per link" test_network_load_counts_flow_once_per_link;
           tc "copy isolated" test_network_copy_isolated;
         ] );
