@@ -61,8 +61,10 @@ trace: build
 # The daemon smoke test, mirroring the serve-smoke + store-persistence
 # CI jobs in miniature: start `noc serve` with a store, submit the full
 # registry cold then warm across a restart, require a clean SIGTERM
-# drain and a 100% warm-hit second pass.  Uses the built binary
-# directly so the daemon holds no dune lock.
+# drain and a 100% warm-hit second pass.  Then the crash path: a cold
+# pass on a second store, `kill -9` (no drain, so no index flush), and
+# a restart that must still serve all 12 warm from that store.  Uses
+# the built binary directly so the daemon holds no dune lock.
 serve-smoke: build
 	@set -e; \
 	dir="$$(mktemp -d)"; \
@@ -82,7 +84,22 @@ serve-smoke: build
 	"$$noc" submit test/cli/registry_jobs.json --socket "$$sock" \
 	  | grep -q '12 ok, 0 failed, 0 rejected, 0 overloaded, 12 warm hits'; \
 	kill -TERM "$$server"; wait "$$server"; \
-	echo "serve-smoke: OK (cold run, clean drain, 100% warm restart)"
+	"$$noc" serve --socket "$$sock" --store "$$dir/crash-store" -j 2 & \
+	server=$$!; \
+	for i in $$(seq 1 100); do [ -S "$$sock" ] && break; sleep 0.1; done; \
+	[ -S "$$sock" ]; \
+	"$$noc" submit test/cli/registry_jobs.json --socket "$$sock" \
+	  | grep -q '12 ok, 0 failed, 0 rejected, 0 overloaded, 0 warm hits'; \
+	kill -KILL "$$server"; wait "$$server" || true; \
+	rm -f "$$sock"; \
+	"$$noc" serve --socket "$$sock" --store "$$dir/crash-store" -j 2 & \
+	server=$$!; \
+	for i in $$(seq 1 100); do [ -S "$$sock" ] && break; sleep 0.1; done; \
+	"$$noc" submit test/cli/registry_jobs.json --socket "$$sock" \
+	  | grep -q '12 ok, 0 failed, 0 rejected, 0 overloaded, 12 warm hits'; \
+	"$$noc" serve-stats --socket "$$sock" | grep -q '^store_hits 12$$'; \
+	kill -TERM "$$server"; wait "$$server"; \
+	echo "serve-smoke: OK (cold run, clean drain, 100% warm restart, 100% warm after kill -9)"
 
 # The live-telemetry smoke test, mirroring the metrics-smoke CI job in
 # miniature: boot the daemon with a Prometheus listener, do some work

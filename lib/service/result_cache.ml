@@ -1,6 +1,6 @@
 (* Content-addressed result cache: job hash -> outcome, LRU-bounded,
    shared across the worker domains of a batch (hence the mutex — the
-   table and the recency list must move together).  Hit/miss counters
+   table and its recency stamps must move together).  Hit/miss counters
    feed telemetry and the service bench's warm-replay measurement. *)
 
 (* Evictions happen on worker domains mid-batch, where nobody is
@@ -11,14 +11,8 @@
    domain. *)
 let evictions_total () = Noc_obs.Metrics.counter "noc_cache_evictions_total"
 
-type entry = { key : string; mutable outcome : Outcome.t }
-
 type t = {
-  capacity : int;
-  table : (string, entry) Hashtbl.t;
-  (* Most-recent first.  A plain list is fine: capacities are small
-     (hundreds), and every operation already takes the mutex. *)
-  mutable recency : entry list;
+  lru : Outcome.t Lru.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -29,57 +23,37 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Result_cache.create: capacity < 1";
   ignore (evictions_total ());
   {
-    capacity;
-    table = Hashtbl.create (min capacity 64);
-    recency = [];
+    lru = Lru.create ~capacity;
     hits = 0;
     misses = 0;
     evictions = 0;
     mutex = Mutex.create ();
   }
 
-let capacity t = t.capacity
+let capacity t = Lru.capacity t.lru
 
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let touch t entry =
-  t.recency <- entry :: List.filter (fun e -> e.key <> entry.key) t.recency
-
 let find t key =
   locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some entry ->
+      match Lru.find t.lru key with
+      | Some outcome ->
           t.hits <- t.hits + 1;
-          touch t entry;
-          Some entry.outcome
+          Some outcome
       | None ->
           t.misses <- t.misses + 1;
           None)
 
 let store t key outcome =
   locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some entry ->
-          entry.outcome <- outcome;
-          touch t entry;
-          false
-      | None ->
-          let entry = { key; outcome } in
-          Hashtbl.replace t.table key entry;
-          touch t entry;
-          if Hashtbl.length t.table > t.capacity then begin
-            match List.rev t.recency with
-            | [] -> assert false
-            | oldest :: _ ->
-                Hashtbl.remove t.table oldest.key;
-                t.recency <- List.filter (fun e -> e.key <> oldest.key) t.recency;
-                t.evictions <- t.evictions + 1;
-                Noc_obs.Metrics.incr (evictions_total ());
-                true
-          end
-          else false)
+      match Lru.add t.lru key outcome with
+      | Some _ ->
+          t.evictions <- t.evictions + 1;
+          Noc_obs.Metrics.incr (evictions_total ());
+          true
+      | None -> false)
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
@@ -89,7 +63,7 @@ let stats t =
         hits = t.hits;
         misses = t.misses;
         evictions = t.evictions;
-        entries = Hashtbl.length t.table;
+        entries = Lru.length t.lru;
       })
 
 let hit_rate s =

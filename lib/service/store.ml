@@ -10,14 +10,21 @@
 
    Every write is write-to-temp + rename in the destination directory,
    so a crash at any instant leaves either the old file or the new one
-   — never a torn object, never a torn index.  The index is a cache of
-   the directory listing, not the source of truth: when it is missing
-   or stale the objects directory is rescanned, and entries whose
-   object file disappeared are dropped at load.  Object payloads are
-   self-describing ({schema, job_hash, outcome}); a read that fails the
-   integrity check (hash mismatch, unparsable outcome) deletes the
-   object and reports a miss, so one corrupted file costs one recompute
-   rather than poisoning results. *)
+   — never a torn object, never a torn index.
+
+   The index is exact or absent: while index.json exists it names
+   every object on disk.  A store writes its own object and nothing
+   else.  The first change to the key set after open or after a flush
+   unlinks index.json before touching an object, and [flush] writes it
+   back.  Open loads the index when present, dropping entries whose
+   object file disappeared, and rescans the objects directory when it
+   is missing or unreadable.  So a crash at any instant loses at most
+   the recency order since the last flush, never a stored result.
+
+   Object payloads are self-describing ({schema, job_hash, outcome}); a
+   read that fails the integrity check (hash mismatch, unparsable
+   outcome) deletes the object and reports a miss, so one corrupted
+   file costs one recompute rather than poisoning results. *)
 
 module Json = Noc_json.Json
 
@@ -31,12 +38,13 @@ let index_schema = "noc-store-index/1"
 
 type t = {
   root : string;
-  capacity : int;
   (* Key set and recency move together under the mutex, exactly like
      Result_cache; the disk adds durability, not a new concurrency
      story. *)
-  table : (string, unit) Hashtbl.t;
-  mutable recency : string list;  (* most recent first *)
+  lru : unit Lru.t;
+  (* index.json may exist, so the next change to the key set must
+     unlink it first. *)
+  mutable indexed : bool;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -93,15 +101,17 @@ let index_json t =
   Json.Obj
     [
       ("schema", Json.Str index_schema);
-      ("entries", Json.Arr (List.map (fun k -> Json.Str k) t.recency));
+      ("entries", Json.Arr (List.map (fun k -> Json.Str k) (Lru.keys t.lru)));
     ]
 
-(* Called under the mutex.  Failures (full disk, root removed from
-   under us) are swallowed: the index is reconstructible by a rescan,
-   so losing a flush must never take a job down with it. *)
-let flush_index t =
-  try write_atomic ~dir:t.root ~path:(index_path t) (Json.to_string (index_json t) ^ "\n")
-  with Sys_error _ -> ()
+(* Before any change to the key set.  An index that missed a new
+   object would hide it from every later open: never found, never
+   evicted.  Gone, it costs the next open a rescan. *)
+let unindex t =
+  if t.indexed then begin
+    (try Sys.remove (index_path t) with Sys_error _ -> ());
+    t.indexed <- false
+  end
 
 let load_index path =
   match read_file path with
@@ -143,6 +153,12 @@ let scan_objects dir =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* [key] has left the table: delete its file and count the eviction. *)
+let evict t key =
+  (try Sys.remove (object_path t key) with Sys_error _ -> ());
+  t.evictions <- t.evictions + 1;
+  count "noc_store_evictions_total"
+
 let create ~root ~capacity =
   if capacity < 1 then invalid_arg "Store.create: capacity < 1";
   ignore (Noc_obs.Metrics.counter "noc_store_evictions_total");
@@ -150,9 +166,8 @@ let create ~root ~capacity =
   let t =
     {
       root;
-      capacity;
-      table = Hashtbl.create 64;
-      recency = [];
+      lru = Lru.create ~capacity;
+      indexed = true;
       hits = 0;
       misses = 0;
       evictions = 0;
@@ -160,38 +175,40 @@ let create ~root ~capacity =
     }
   in
   ensure_dir (objects_dir t);
-  let indexed =
+  let listed =
     match load_index (index_path t) with
     | Some keys -> keys
     | None -> scan_objects (objects_dir t)
   in
-  (* Integrity check on load: keep only entries whose object file is
-     actually present (newest first, dedup'd); deep validation of the
-     payload happens lazily at [find]. *)
-  let keys =
-    List.filter
-      (fun key ->
-        (not (Hashtbl.mem t.table key)) && Sys.file_exists (object_path t key)
-        && (Hashtbl.replace t.table key ();
-            true))
-      indexed
-  in
-  t.recency <- keys;
+  (* Oldest first, so the most recent entry gets the newest stamp and a
+     repeated key keeps its most recent place.  Integrity check on
+     load: only entries whose object file is actually present enter;
+     deep validation of the payload happens lazily at [find].  A store
+     reopened above its capacity sheds its least recent entries here,
+     where inserts alone would evict one per insert and never shrink
+     it. *)
+  List.iter
+    (fun key ->
+      if Sys.file_exists (object_path t key) then
+        Option.iter
+          (fun victim ->
+            unindex t;
+            evict t victim)
+          (Lru.add t.lru key ()))
+    (List.rev listed);
   t
 
-let capacity t = t.capacity
+let capacity t = Lru.capacity t.lru
 let root t = t.root
 
 (* ------------------------------------------------------------------ *)
 (* Lookup and insert                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let touch t key = t.recency <- key :: List.filter (fun k -> k <> key) t.recency
-
 (* Under the mutex.  Drops the entry and its file. *)
 let forget t key =
-  Hashtbl.remove t.table key;
-  t.recency <- List.filter (fun k -> k <> key) t.recency;
+  unindex t;
+  Lru.remove t.lru key;
   try Sys.remove (object_path t key) with Sys_error _ -> ()
 
 let decode_object ~key text =
@@ -211,30 +228,28 @@ let decode_object ~key text =
 let find t key =
   count "noc_store_lookups_total";
   locked t (fun () ->
-      if not (Hashtbl.mem t.table key) then begin
-        t.misses <- t.misses + 1;
-        None
-      end
-      else
-        match read_file (object_path t key) with
-        | exception Sys_error _ ->
-            forget t key;
-            t.misses <- t.misses + 1;
-            None
-        | text -> (
-            match decode_object ~key text with
-            | Ok outcome ->
-                t.hits <- t.hits + 1;
-                count "noc_store_hits_total";
-                touch t key;
-                Some outcome
-            | Error _ ->
-                (* Corrupt object: evict it so the next run recomputes
-                   and rewrites, instead of failing forever. *)
-                forget t key;
-                flush_index t;
-                t.misses <- t.misses + 1;
-                None))
+      match Lru.find t.lru key with
+      | None ->
+          t.misses <- t.misses + 1;
+          None
+      | Some () -> (
+          match read_file (object_path t key) with
+          | exception Sys_error _ ->
+              forget t key;
+              t.misses <- t.misses + 1;
+              None
+          | text -> (
+              match decode_object ~key text with
+              | Ok outcome ->
+                  t.hits <- t.hits + 1;
+                  count "noc_store_hits_total";
+                  Some outcome
+              | Error _ ->
+                  (* Corrupt object: evict it so the next run recomputes
+                     and rewrites, instead of failing forever. *)
+                  forget t key;
+                  t.misses <- t.misses + 1;
+                  None)))
 
 let object_json ~key outcome =
   Json.Obj
@@ -249,24 +264,14 @@ let store t key outcome =
   locked t (fun () ->
       let dir = shard_dir t key in
       ensure_dir dir;
+      if not (Lru.mem t.lru key) then unindex t;
       write_atomic ~dir ~path:(object_path t key)
         (Json.to_string (object_json ~key outcome) ^ "\n");
-      if not (Hashtbl.mem t.table key) then Hashtbl.replace t.table key ();
-      touch t key;
-      let evicted =
-        if Hashtbl.length t.table > t.capacity then begin
-          match List.rev t.recency with
-          | [] -> assert false
-          | oldest :: _ ->
-              forget t oldest;
-              t.evictions <- t.evictions + 1;
-              count "noc_store_evictions_total";
-              true
-        end
-        else false
-      in
-      flush_index t;
-      evicted)
+      match Lru.add t.lru key () with
+      | Some victim ->
+          evict t victim;
+          true
+      | None -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -278,7 +283,7 @@ let stats t =
         hits = t.hits;
         misses = t.misses;
         evictions = t.evictions;
-        entries = Hashtbl.length t.table;
+        entries = Lru.length t.lru;
       })
 
 let hit_rate s =
@@ -291,7 +296,15 @@ let reset_counters t =
       t.misses <- 0;
       t.evictions <- 0)
 
-let flush t = locked t (fun () -> flush_index t)
+(* Failures (full disk, root removed from under us) are swallowed: the
+   index is reconstructible by a rescan, so losing a flush must never
+   take a job down with it. *)
+let flush t =
+  locked t (fun () ->
+      try
+        write_atomic ~dir:t.root ~path:(index_path t) (Json.to_string (index_json t) ^ "\n");
+        t.indexed <- true
+      with Sys_error _ -> ())
 
 let pp_stats ppf s =
   Format.fprintf ppf "%d hit%s / %d miss%s (%.0f%%), %d entr%s on disk, %d eviction%s"

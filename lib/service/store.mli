@@ -10,16 +10,23 @@
     v}
 
     All writes are write-to-temp + rename, so a crash leaves whole
-    files or nothing.  The index is a rebuildable cache: when missing
-    or corrupt, the objects directory is rescanned.  An object that
-    fails its integrity check at read time (hash mismatch, unparsable
+    files or nothing.  The index is exact or absent: while it exists it
+    names every object on disk.  {!store} writes its own object and
+    nothing else; the first change to the key set after {!create} or
+    {!flush} unlinks the index, and {!flush} writes it back.  When the
+    index is missing or corrupt, the objects directory is rescanned.  A
+    crash at any instant therefore loses at most the recency order
+    since the last flush, never a stored result.  An object that fails
+    its integrity check at read time (hash mismatch, unparsable
     payload) is deleted and reported as a miss. *)
 
 type t
 
 val create : root:string -> capacity:int -> t
 (** Open (creating directories as needed) the store at [root] and load
-    its index, dropping entries whose object file is gone.
+    its index, dropping entries whose object file is gone, or rescan
+    the objects when there is no index.  Entries beyond [capacity] are
+    evicted now, least recent first.
     @raise Invalid_argument when [capacity < 1]. *)
 
 val capacity : t -> int
@@ -36,7 +43,9 @@ val store : t -> string -> Outcome.t -> bool
     @raise Invalid_argument when the key is not a hex hash. *)
 
 val flush : t -> unit
-(** Persist the LRU index now (it is also flushed on every store). *)
+(** Write the LRU index.  Call it before a planned exit: without it the
+    next {!create} rescans the objects and starts from an arbitrary
+    recency order whenever the key set changed since the last flush. *)
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 

@@ -781,6 +781,15 @@ let test_wire_rejects_garbage_payload () =
 (* Store: the persistent content-addressed result store                *)
 (* ------------------------------------------------------------------ *)
 
+let counter_value name =
+  List.fold_left
+    (fun acc m ->
+      match m with
+      | Noc_obs.Metrics.Counter { name = n; value; _ } when n = name -> value
+      | _ -> acc)
+    0
+    (Noc_obs.Metrics.snapshot ())
+
 let rec rm_rf path =
   if Sys.is_directory path then begin
     Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
@@ -830,6 +839,7 @@ let test_store_rebuilds_missing_index () =
       List.iteri
         (fun i k -> ignore (Store.store s1 k (Outcome.done_ [ ("k", float_of_int i) ])))
         keys;
+      Store.flush s1;
       (* The index is a rebuildable cache: losing it must not lose data. *)
       Sys.remove (Filename.concat root "index.json");
       let s2 = Store.create ~root ~capacity:8 in
@@ -878,18 +888,283 @@ let test_store_corrupt_object_is_a_miss () =
       ignore (Store.store s2 key (Outcome.done_ [ ("k", 2.) ]));
       check bool_c "healed" true (Store.find s2 key <> None))
 
+let test_store_reopen_above_capacity_shrinks () =
+  with_temp_dir (fun dir ->
+      let root = Filename.concat dir "store" in
+      let key i = hex_key (Printf.sprintf "shrink-%d" i) in
+      let out i = Outcome.done_ [ ("k", float_of_int i) ] in
+      let s1 = Store.create ~root ~capacity:8 in
+      List.iter (fun i -> ignore (Store.store s1 (key i) (out i))) (List.init 8 Fun.id);
+      ignore (Store.find s1 (key 0));
+      Store.flush s1;
+      let before = counter_value "noc_store_evictions_total" in
+      let s2 = Store.create ~root ~capacity:2 in
+      check int_c "shrunk to capacity at open" 2 (Store.stats s2).Store.entries;
+      check int_c "shed entries counted as evictions" 6 (Store.stats s2).Store.evictions;
+      check int_c "noc_store_evictions_total counts them" (before + 6)
+        (counter_value "noc_store_evictions_total");
+      List.iter
+        (fun i ->
+          check bool_c
+            (Printf.sprintf "object %d kept only if among the two most recent" i)
+            (i = 0 || i = 7)
+            (Sys.file_exists (object_path ~root (key i))))
+        (List.init 8 Fun.id);
+      List.iter (fun i -> ignore (Store.store s2 (key i) (out i))) (List.init 7 (( + ) 8));
+      check int_c "stays at capacity" 2 (Store.stats s2).Store.entries)
+
+(* The kill -9 path: nothing flushed the index, and a second handle on
+   the same root still finds every stored result. *)
+let test_store_unflushed_reopen_finds_all () =
+  with_temp_dir (fun dir ->
+      let root = Filename.concat dir "store" in
+      let key i = hex_key (Printf.sprintf "crash-%d" i) in
+      let out i = Outcome.done_ [ ("k", float_of_int i) ] in
+      let s1 = Store.create ~root ~capacity:8 in
+      List.iter (fun i -> ignore (Store.store s1 (key i) (out i))) (List.init 5 Fun.id);
+      let s2 = Store.create ~root ~capacity:8 in
+      check int_c "every object found" 5 (Store.stats s2).Store.entries;
+      List.iter
+        (fun i ->
+          check bool_c "stored outcome served" true (Store.find s2 (key i) = Some (out i)))
+        (List.init 5 Fun.id))
+
+let test_store_flushed_reopen_keeps_lru_order () =
+  with_temp_dir (fun dir ->
+      let root = Filename.concat dir "store" in
+      let key i = hex_key (Printf.sprintf "order-%d" i) in
+      let out i = Outcome.done_ [ ("k", float_of_int i) ] in
+      let s1 = Store.create ~root ~capacity:3 in
+      List.iter (fun i -> ignore (Store.store s1 (key i) (out i))) [ 1; 2; 3 ];
+      ignore (Store.find s1 (key 1));
+      Store.flush s1;
+      let s2 = Store.create ~root ~capacity:3 in
+      check bool_c "a fourth key evicts" true (Store.store s2 (key 4) (out 4));
+      check bool_c "k2, the least recent, evicted" false
+        (Sys.file_exists (object_path ~root (key 2)));
+      List.iter
+        (fun i -> check bool_c "the rest kept" true (Store.find s2 (key i) = Some (out i)))
+        [ 1; 3; 4 ])
+
+let rec files_under path =
+  if Sys.is_directory path then
+    Array.to_list (Sys.readdir path)
+    |> List.concat_map (fun f -> files_under (Filename.concat path f))
+  else [ path ]
+
+let index_file root = Filename.concat root "index.json"
+
+(* The keys index.json names, most recent first. *)
+let index_entries root =
+  match Json.of_string (In_channel.with_open_bin (index_file root) In_channel.input_all) with
+  | Ok v -> List.map Json.to_str (Json.to_list (Json.field "entries" v))
+  | Error e -> Alcotest.fail e
+
+let sorted = List.sort compare
+
+let test_store_writes_only_objects_until_flush () =
+  with_temp_dir (fun dir ->
+      let root = Filename.concat dir "store" in
+      let keys = List.init 4 (fun i -> hex_key (Printf.sprintf "only-%d" i)) in
+      let s = Store.create ~root ~capacity:8 in
+      Store.flush s;
+      check bool_c "an empty store flushes an index" true (Sys.file_exists (index_file root));
+      List.iter (fun k -> ignore (Store.store s k (Outcome.done_ [ ("k", 1.) ]))) keys;
+      check (Alcotest.list string_c) "the objects and nothing else on disk"
+        (sorted (List.map (object_path ~root) keys))
+        (sorted (files_under root));
+      Store.flush s;
+      check (Alcotest.list string_c) "the flushed index names exactly the stored keys"
+        (sorted keys)
+        (sorted (index_entries root));
+      ignore (Store.store s (List.hd keys) (Outcome.done_ [ ("k", 2.) ]));
+      check bool_c "rewriting a stored key keeps the index" true
+        (Sys.file_exists (index_file root)))
+
+(* ------------------------------------------------------------------ *)
+(* Store and Result_cache against the list LRU of Lru_oracle           *)
+(* ------------------------------------------------------------------ *)
+
+let prop_result_cache_matches_oracle =
+  QCheck.Test.make ~name:"Result_cache agrees with the list LRU" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list (pair bool int)))
+       QCheck.Gen.(pair (int_range 1 4) (list_size (int_bound 60) (pair bool (int_bound 7)))))
+    (fun (capacity, steps) ->
+      let cache = Result_cache.create ~capacity in
+      let oracle = Lru_oracle.create ~capacity in
+      List.for_all
+        (fun (n, (put, i)) ->
+          let key = string_of_int i in
+          if put then
+            let outcome = Outcome.done_ [ ("step", float_of_int n) ] in
+            Result_cache.store cache key outcome = (Lru_oracle.add oracle key outcome <> None)
+          else Result_cache.find cache key = Lru_oracle.find oracle key)
+        (List.mapi (fun n step -> (n, step)) steps)
+      && (Result_cache.stats cache).Result_cache.entries = Lru_oracle.length oracle)
+
+type store_step = Put of int | Get of int | Flush | Reopen of int | Corrupt of int
+
+let print_store_step = function
+  | Put k -> Printf.sprintf "put %d" k
+  | Get k -> Printf.sprintf "get %d" k
+  | Flush -> "flush"
+  | Reopen c -> Printf.sprintf "reopen ~capacity:%d" c
+  | Corrupt k -> Printf.sprintf "corrupt %d" k
+
+let store_steps_gen =
+  let open QCheck.Gen in
+  let key = int_bound 5 in
+  pair (int_range 1 4)
+    (list_size (int_bound 40)
+       (frequency
+          [
+            (4, map (fun k -> Put k) key);
+            (4, map (fun k -> Get k) key);
+            (1, return Flush);
+            (1, map (fun c -> Reopen c) (int_range 1 4));
+            (1, map (fun k -> Corrupt k) key);
+          ]))
+
+(* What the store should hold: the oracle's recency, the last outcome
+   stored per key, the keys whose object was corrupted, and what
+   index.json names when it exists. *)
+type store_model = {
+  mutable lru : unit Lru_oracle.t;
+  values : (string, Outcome.t) Hashtbl.t;
+  corrupt : (string, unit) Hashtbl.t;
+  mutable index : string list option;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+}
+
+(* [key] left the key set, which unlinks the index. *)
+let model_drop m key =
+  Lru_oracle.remove m.lru key;
+  Hashtbl.remove m.values key;
+  Hashtbl.remove m.corrupt key;
+  m.index <- None
+
+(* A fresh handle on [order] (most recent first): the [capacity] most
+   recent stay, the rest are evicted. *)
+let model_open m ~capacity order =
+  let keep = List.filteri (fun i _ -> i < capacity) order in
+  let excess = List.filteri (fun i _ -> i >= capacity) order in
+  m.lru <- Lru_oracle.create ~capacity;
+  List.iter (fun k -> ignore (Lru_oracle.add m.lru k ())) (List.rev keep);
+  List.iter (model_drop m) excess;
+  m.hits <- 0;
+  m.misses <- 0;
+  m.evictions <- List.length excess
+
+let prop_store_matches_oracle =
+  QCheck.Test.make ~name:"Store agrees with the list LRU across reopens" ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list print_store_step))
+       ~shrink:QCheck.Shrink.(pair nil list)
+       store_steps_gen)
+    (fun (capacity, steps) ->
+      with_temp_dir @@ fun dir ->
+      let root = Filename.concat dir "store" in
+      let key i = hex_key (Printf.sprintf "prop-%d" i) in
+      let universe = List.init 6 key in
+      let on_disk () =
+        List.filter (fun k -> Sys.file_exists (object_path ~root k)) universe
+      in
+      let s = ref (Store.create ~root ~capacity) in
+      let m =
+        {
+          lru = Lru_oracle.create ~capacity;
+          values = Hashtbl.create 8;
+          corrupt = Hashtbl.create 8;
+          index = None;
+          hits = 0;
+          misses = 0;
+          evictions = 0;
+        }
+      in
+      let step n = function
+        | Put i ->
+            let k = key i in
+            let outcome = Outcome.done_ [ ("step", float_of_int n) ] in
+            if not (Lru_oracle.mem m.lru k) then m.index <- None;
+            let victim = Lru_oracle.add m.lru k () in
+            Hashtbl.replace m.values k outcome;
+            Hashtbl.remove m.corrupt k;
+            Option.iter
+              (fun v ->
+                model_drop m v;
+                m.evictions <- m.evictions + 1)
+              victim;
+            Store.store !s k outcome = (victim <> None)
+        | Get i ->
+            let k = key i in
+            let expected =
+              if Hashtbl.mem m.corrupt k then begin
+                model_drop m k;
+                None
+              end
+              else Option.map (fun () -> Hashtbl.find m.values k) (Lru_oracle.find m.lru k)
+            in
+            if expected = None then m.misses <- m.misses + 1 else m.hits <- m.hits + 1;
+            Store.find !s k = expected
+        | Flush ->
+            Store.flush !s;
+            m.index <- Some (Lru_oracle.keys m.lru);
+            true
+        | Corrupt i ->
+            let k = key i in
+            if Lru_oracle.mem m.lru k then begin
+              Out_channel.with_open_bin (object_path ~root k) (fun oc ->
+                  Out_channel.output_string oc "{ truncated");
+              Hashtbl.replace m.corrupt k ()
+            end;
+            true
+        | Reopen capacity -> (
+            s := Store.create ~root ~capacity;
+            match m.index with
+            | Some order ->
+                model_open m ~capacity order;
+                true
+            | None ->
+                (* A rescan: any [capacity] of the keys survive, in an
+                   order the store does not promise.  Check the key
+                   set, then learn the order from a flush. *)
+                let before = Lru_oracle.keys m.lru in
+                let kept = on_disk () in
+                let ok =
+                  List.for_all (fun k -> List.mem k before) kept
+                  && List.length kept = min capacity (List.length before)
+                in
+                Store.flush !s;
+                let order = index_entries root in
+                List.iter
+                  (fun k -> if not (List.mem k kept) then model_drop m k)
+                  before;
+                model_open m ~capacity order;
+                m.evictions <- List.length before - List.length kept;
+                m.index <- Some order;
+                ok && sorted order = sorted kept)
+      in
+      let agree () =
+        let st = Store.stats !s in
+        st.Store.hits = m.hits && st.Store.misses = m.misses
+        && st.Store.evictions = m.evictions
+        && st.Store.entries = Lru_oracle.length m.lru
+        && on_disk () = List.filter (Lru_oracle.mem m.lru) universe
+        &&
+        match m.index with
+        | None -> not (Sys.file_exists (index_file root))
+        | Some order -> Sys.file_exists (index_file root) && index_entries root = order
+      in
+      List.for_all
+        (fun (n, st) -> step n st && agree ())
+        (List.mapi (fun n st -> (n, st)) steps))
+
 (* ------------------------------------------------------------------ *)
 (* Cache eviction is observable in the metrics registry                *)
 (* ------------------------------------------------------------------ *)
-
-let counter_value name =
-  List.fold_left
-    (fun acc m ->
-      match m with
-      | Noc_obs.Metrics.Counter { name = n; value; _ } when n = name -> value
-      | _ -> acc)
-    0
-    (Noc_obs.Metrics.snapshot ())
 
 let test_cache_eviction_bumps_obs_counter () =
   let before = counter_value "noc_cache_evictions_total" in
@@ -1041,6 +1316,8 @@ let qcheck_cases =
       prop_job_file_roundtrip;
       prop_wire_requests_chunked;
       prop_wire_responses_chunked;
+      prop_result_cache_matches_oracle;
+      prop_store_matches_oracle;
     ]
 
 let () =
@@ -1095,6 +1372,14 @@ let () =
             test_store_lru_eviction_removes_file;
           Alcotest.test_case "corrupt object is a miss" `Quick
             test_store_corrupt_object_is_a_miss;
+          Alcotest.test_case "reopen above capacity shrinks" `Quick
+            test_store_reopen_above_capacity_shrinks;
+          Alcotest.test_case "unflushed reopen finds every object" `Quick
+            test_store_unflushed_reopen_finds_all;
+          Alcotest.test_case "flushed reopen keeps lru order" `Quick
+            test_store_flushed_reopen_keeps_lru_order;
+          Alcotest.test_case "writes only objects until flush" `Quick
+            test_store_writes_only_objects_until_flush;
         ] );
       ( "server",
         [
