@@ -319,6 +319,28 @@ let test_simulate_runner_outcomes () =
   check bool_c "ordering costs more VCs" true
     (metric ordered "vcs_added" > metric fixed "vcs_added")
 
+(* Lint bounds [buffer_depth] only from below, so a job may ask for a
+   billion-flit buffer.  The engine must not size its FIFOs by the
+   request: the job runs, and deadlocks exactly as with any buffer
+   deeper than the flits it carries. *)
+let test_simulate_huge_buffer_depth () =
+  let outcome =
+    Runner.execute
+      {
+        Job.design =
+          Job.Benchmark
+            { name = "D36_8"; n_switches = 14; max_degree = Job.default_max_degree };
+        method_ =
+          Job.simulate ~buffer_depth:1_000_000_000
+            Noc_benchmarks.Workloads.default_uniform;
+      }
+  in
+  check bool_c "job is Done" true (Outcome.is_done outcome);
+  check (Alcotest.option (Alcotest.float 0.)) "deadlocked" (Some 1.)
+    (Outcome.metric outcome "deadlocked");
+  check (Alcotest.option (Alcotest.float 0.)) "cycles" (Some 857.)
+    (Outcome.metric outcome "cycles")
+
 let test_simulate_lint_codes () =
   let codes job =
     List.map
@@ -1335,6 +1357,8 @@ let () =
             test_simulate_runner_outcomes;
           Alcotest.test_case "simulate lint codes" `Quick
             test_simulate_lint_codes;
+          Alcotest.test_case "simulate huge buffer depth" `Quick
+            test_simulate_huge_buffer_depth;
         ] );
       ( "outcome",
         [

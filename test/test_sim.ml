@@ -714,13 +714,174 @@ let prop_deadlock_certificates_check_out =
                    (fun m -> List.mem m d.Engine.blocked_packets)
                    members))
 
+(* The engine against the reference engine in [Engine_oracle], with and
+   without a listener: the outcome (statistics, latencies, deadlock
+   certificate) and the event list must be equal.  Each case is built
+   from one seed: a deadlocking ring, an XY mesh or a small registry
+   design (as synthesized or after removal), several packets per flow
+   with unsorted injection times, sometimes with repeated packet ids,
+   and a random engine configuration whose [max_cycles] sometimes cuts
+   the run short. *)
+type sim_case = {
+  label : string;
+  net : Network.t;
+  packets : Packet.t list;
+  config : Engine.config;
+}
+
+let small_registry_names =
+  List.filter_map
+    (fun (s : Noc_benchmarks.Spec.t) ->
+      if s.Noc_benchmarks.Spec.n_cores <= 40 then Some s.Noc_benchmarks.Spec.name
+      else None)
+    Noc_benchmarks.Registry.all
+
+let sim_case_of_seed seed =
+  let st = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let label, net =
+    match Random.State.int st 4 with
+    | 0 -> ("ring", (Fixtures.paper_ring ()).Fixtures.net)
+    | 1 -> ("mesh", Fixtures.xy_mesh_2x2 ())
+    | k ->
+        let name = pick small_registry_names in
+        let n_switches = 2 + Random.State.int st 7 in
+        let spec = Option.get (Noc_benchmarks.Registry.find name) in
+        let net =
+          Noc_synth.Custom.synthesize_exn (spec.Noc_benchmarks.Spec.build ()) ~n_switches
+        in
+        if k = 3 then ignore (Noc_deadlock.Removal.run net);
+        (Printf.sprintf "%s@%d%s" name n_switches (if k = 3 then "+removal" else ""), net)
+  in
+  let repeat_ids = Random.State.int st 4 = 0 in
+  let next_id = ref 0 in
+  let packets =
+    List.concat_map
+      (fun (f : Traffic.flow) ->
+        match Network.route net f.Traffic.id with
+        | [] -> []
+        | route ->
+            List.init (1 + Random.State.int st 4) (fun _ ->
+                let id = if repeat_ids then Random.State.int st 4 else !next_id in
+                incr next_id;
+                Packet.make ~id ~flow:f.Traffic.id ~route
+                  ~length:(1 + Random.State.int st 8)
+                  ~inject_at:(Random.State.int st 30)))
+      (Traffic.flows (Network.traffic net))
+  in
+  let packets =
+    List.map snd
+      (List.sort compare (List.map (fun p -> (Random.State.bits st, p)) packets))
+  in
+  let config =
+    {
+      Engine.buffer_depth = 1 + Random.State.int st 4;
+      max_cycles = (if Random.State.bool st then 1 + Random.State.int st 80 else 5_000);
+      stall_threshold = pick [ 8; 16; 64 ];
+      rotate_priority = Random.State.bool st;
+      router_latency = Random.State.int st 4;
+    }
+  in
+  { label; net; packets; config }
+
+let print_sim_case case =
+  let c = case.config in
+  Printf.sprintf
+    "%s, %d packets, depth %d, max_cycles %d, stall %d, rotate %b, latency %d"
+    case.label (List.length case.packets) c.Engine.buffer_depth c.Engine.max_cycles
+    c.Engine.stall_threshold c.Engine.rotate_priority c.Engine.router_latency
+
+let prop_engine_matches_oracle =
+  QCheck.Test.make ~name:"engine matches the reference engine, listener or not"
+    ~count:300
+    (QCheck.make
+       ~print:(fun seed -> Printf.sprintf "seed %d: %s" seed (print_sim_case (sim_case_of_seed seed)))
+       QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let { net; packets; config; _ } = sim_case_of_seed seed in
+      let emit, events = Trace.recorder () in
+      let traced = Engine.run ~config ~on_event:emit net packets in
+      let oracle_emit, oracle_events = Trace.recorder () in
+      let expected = Engine_oracle.run ~config ~on_event:oracle_emit net packets in
+      let silent = Engine.run ~config net packets in
+      traced = expected && silent = expected && events () = oracle_events ())
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_removal_implies_completion; prop_flit_conservation;
       prop_trace_invariants_hold; prop_removal_registry_never_deadlocks;
-      prop_deadlock_certificates_check_out;
+      prop_deadlock_certificates_check_out; prop_engine_matches_oracle;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Golden pin over the simulate jobs nocbench's sim-campaign submits   *)
+(* ------------------------------------------------------------------ *)
+
+(* The campaign grid at nocbench's sim points (D26_media, D36_6, D36_8
+   at 8/14/20 switches x the six workload kinds x rates 0.05/0.1/0.2 x
+   as-is/removal/ordering, default seeds: 270 jobs), then extra cells
+   with single-flit buffers and with a cycle cap low enough that some
+   cells time out.  Any change to the simulator, the workloads or the
+   simulate metrics that moves one bit of one result moves a digest. *)
+let golden_digest outcomes =
+  Digest.to_hex
+    (Digest.string (String.concat "" (List.map Noc_service.Outcome.result_hash outcomes)))
+
+let execute_all = List.map Noc_service.Runner.execute
+
+let golden_workloads =
+  List.filter_map Noc_benchmarks.Workloads.of_kind Noc_benchmarks.Workloads.kinds
+
+let test_golden_sim_campaign_grid () =
+  let points =
+    List.concat_map
+      (fun benchmark ->
+        List.map
+          (fun n_switches -> { Noc_campaign.Campaign.benchmark; n_switches })
+          [ 8; 14; 20 ])
+      [ "D26_media"; "D36_6"; "D36_8" ]
+  in
+  let grid =
+    Noc_campaign.Campaign.grid ~rates:[ 0.05; 0.1; 0.2 ] ~points
+      ~workloads:golden_workloads ()
+  in
+  check int_c "grid size" 270 (List.length grid);
+  check Alcotest.string "grid" "552146ecd12bbdf39fa7a8d0ceef6051" (golden_digest (execute_all grid))
+
+let test_golden_sim_edge_cells () =
+  let cells ?buffer_depth ?max_cycles () =
+    List.concat_map
+      (fun (name, n_switches) ->
+        List.concat_map
+          (fun workload ->
+            List.map
+              (fun prepare ->
+                {
+                  Noc_service.Job.design =
+                    Noc_service.Job.Benchmark
+                      {
+                        name;
+                        n_switches;
+                        max_degree = Noc_service.Job.default_max_degree;
+                      };
+                  method_ =
+                    Noc_service.Job.simulate ~prepare ?buffer_depth ?max_cycles workload;
+                })
+              Noc_campaign.Campaign.default_prepares)
+          golden_workloads)
+      [ ("D26_media", 8); ("D36_8", 14) ]
+  in
+  let depth_one = execute_all (cells ~buffer_depth:1 ())
+  and capped = execute_all (cells ~max_cycles:300 ()) in
+  let count metric outcomes =
+    List.length
+      (List.filter (fun o -> Noc_service.Outcome.metric o metric = Some 1.) outcomes)
+  in
+  check bool_c "some capped cells time out" true (count "timed_out" capped > 0);
+  check bool_c "some single-flit cells deadlock" true (count "deadlocked" depth_one > 0);
+  check Alcotest.string "single-flit buffers" "30e21f226da09e1acb08655714f5dbfb" (golden_digest depth_one);
+  check Alcotest.string "cycle cap" "16a7243778c40a258bdee2d146d297ce" (golden_digest capped)
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -789,4 +950,9 @@ let () =
           tc "route order checker" test_trace_route_order_checker;
         ] );
       ("properties", qcheck_cases);
+      ( "golden",
+        [
+          tc "sim-campaign grid" test_golden_sim_campaign_grid;
+          tc "single-flit buffers and cycle cap" test_golden_sim_edge_cells;
+        ] );
     ]
