@@ -411,101 +411,6 @@ let test_engine_counts_deadlocks () =
   check int_c "deadlock counted" 1 (counter_value "noc_sim_deadlocks_total")
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive engine                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let mesh_with_two_vcs columns rows =
-  let n = columns * rows in
-  let topo = Noc_synth.Regular.mesh ~columns ~rows in
-  List.iter
-    (fun (l : Topology.link) -> ignore (Topology.add_vc topo l.Topology.id))
-    (Topology.links topo);
-  let traffic = Traffic.create ~n_cores:n in
-  for s = 0 to n - 1 do
-    for d = 0 to n - 1 do
-      if s <> d then
-        ignore (Traffic.add_flow traffic ~src:(core s) ~dst:(core d) ~bandwidth:5.)
-    done
-  done;
-  Network.make ~topology:topo ~traffic ~mapping:(fun c -> sw (Ids.Core.to_int c))
-
-let test_adaptive_workload_generation () =
-  let net, _, _ = one_link_net () in
-  let w = Adaptive_engine.workload_of_flows net ~packet_length:3 ~packets_per_flow:2 in
-  check int_c "two packets" 2 (List.length w);
-  check bool_c "right endpoints" true
-    (List.for_all
-       (fun (x : Adaptive_engine.workload) ->
-         Ids.Switch.to_int x.Adaptive_engine.src = 0
-         && Ids.Switch.to_int x.Adaptive_engine.dst = 1
-         && x.Adaptive_engine.length = 3)
-       w)
-
-let test_adaptive_mesh_escape_completes () =
-  let net = mesh_with_two_vcs 3 3 in
-  let rf = Noc_synth.Mesh_routing.adaptive_with_xy_escape ~columns:3 ~rows:3 net in
-  let w = Adaptive_engine.workload_of_flows net ~packet_length:8 ~packets_per_flow:2 in
-  match Adaptive_engine.run net rf w with
-  | Adaptive_engine.Completed s ->
-      check int_c "all delivered" (List.length w) s.Stats.delivered
-  | Adaptive_engine.Stalled _ -> Alcotest.fail "escape-protected function stalled"
-  | Adaptive_engine.Timed_out _ -> Alcotest.fail "timed out"
-
-let test_adaptive_xy_static_completes () =
-  let net = mesh_with_two_vcs 3 3 in
-  let rf = Noc_synth.Mesh_routing.xy_static ~columns:3 ~rows:3 net in
-  let w = Adaptive_engine.workload_of_flows net ~packet_length:6 ~packets_per_flow:1 in
-  match Adaptive_engine.run net rf w with
-  | Adaptive_engine.Completed s ->
-      check int_c "all delivered" (List.length w) s.Stats.delivered
-  | Adaptive_engine.Stalled _ | Adaptive_engine.Timed_out _ ->
-      Alcotest.fail "XY routing must complete"
-
-let test_adaptive_unprotected_ring_stalls () =
-  let ring = Fixtures.paper_ring () in
-  let net = ring.Fixtures.net in
-  let rf = Noc_model.Routing_function.minimal_adaptive net in
-  let w = Adaptive_engine.workload_of_flows net ~packet_length:8 ~packets_per_flow:2 in
-  match Adaptive_engine.run net rf w with
-  | Adaptive_engine.Stalled d ->
-      check bool_c "flits stuck" true (d.Adaptive_engine.in_network_flits > 0);
-      check bool_c "blocked packets reported" true
-        (d.Adaptive_engine.blocked_packets <> [])
-  | Adaptive_engine.Completed _ -> Alcotest.fail "unprotected ring should stall"
-  | Adaptive_engine.Timed_out _ -> Alcotest.fail "should stall, not time out"
-
-let test_adaptive_deterministic () =
-  let run_once () =
-    let net = mesh_with_two_vcs 3 3 in
-    let rf = Noc_synth.Mesh_routing.adaptive_with_xy_escape ~columns:3 ~rows:3 net in
-    let w = Adaptive_engine.workload_of_flows net ~packet_length:8 ~packets_per_flow:2 in
-    match Adaptive_engine.run net rf w with
-    | Adaptive_engine.Completed s -> (s.Stats.cycles, s.Stats.flits_moved)
-    | Adaptive_engine.Stalled _ | Adaptive_engine.Timed_out _ -> (-1, -1)
-  in
-  check (Alcotest.pair int_c int_c) "bit identical" (run_once ()) (run_once ())
-
-let test_adaptive_trace_invariants () =
-  (* The adaptive engine's dynamic ownership must satisfy the same
-     wormhole invariants as the fixed-route engine. *)
-  let net = mesh_with_two_vcs 3 3 in
-  let rf = Noc_synth.Mesh_routing.adaptive_with_xy_escape ~columns:3 ~rows:3 net in
-  let w = Adaptive_engine.workload_of_flows net ~packet_length:6 ~packets_per_flow:2 in
-  let emit, dump = Trace.recorder () in
-  (match Adaptive_engine.run ~on_event:emit net rf w with
-  | Adaptive_engine.Completed _ -> ()
-  | Adaptive_engine.Stalled _ | Adaptive_engine.Timed_out _ ->
-      Alcotest.fail "expected completion");
-  let events = dump () in
-  check bool_c "events recorded" true (events <> []);
-  (match Trace.check_exclusive_ownership events with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("adaptive ownership: " ^ e));
-  match Trace.check_balanced events with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("adaptive balance: " ^ e)
-
-(* ------------------------------------------------------------------ *)
 (* Trace invariants                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -927,15 +832,6 @@ let () =
           tc "timeout path" test_engine_timeout_path;
           tc "outcome printers" test_outcome_printers;
           tc "deterministic" test_deterministic_outcomes;
-        ] );
-      ( "adaptive",
-        [
-          tc "workload generation" test_adaptive_workload_generation;
-          tc "mesh with escape completes" test_adaptive_mesh_escape_completes;
-          tc "xy static completes" test_adaptive_xy_static_completes;
-          tc "unprotected ring stalls" test_adaptive_unprotected_ring_stalls;
-          tc "deterministic" test_adaptive_deterministic;
-          tc "trace invariants" test_adaptive_trace_invariants;
         ] );
       ( "observability",
         [
