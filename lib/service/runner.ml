@@ -110,7 +110,7 @@ let percentile sorted q =
 
 (* A simulation is a deterministic function of the job: the design is
    prepared (nothing / removal / ordering) on the private copy, the
-   seeded workload is generated, and the engine's Deliver events give
+   seeded workload is generated, and the engine's statistics give the
    per-packet latencies for the percentile metrics.  A deadlock is a
    measurement, not a failure: the outcome is [Done] with
    [deadlocked = 1] and the certificate summarized, so campaigns can
@@ -149,28 +149,16 @@ let run_simulate ~prepare ~workload ~buffer_depth ~max_cycles net =
   in
   let cdg_cyclic = not (Noc_deadlock.Removal.is_deadlock_free net) in
   let packets = Noc_benchmarks.Workloads.generate net workload in
-  let by_id = Hashtbl.create (List.length packets) in
-  List.iter
-    (fun (p : Noc_sim.Packet.t) ->
-      Hashtbl.replace by_id p.Noc_sim.Packet.id
-        (p.Noc_sim.Packet.inject_at, p.Noc_sim.Packet.length))
-    packets;
-  let latencies = ref [] in
-  let flits_delivered = ref 0 in
-  let on_event = function
-    | Noc_sim.Trace.Deliver { cycle; packet } -> (
-        match Hashtbl.find_opt by_id packet with
-        | Some (inject_at, length) ->
-            latencies := (cycle - inject_at) :: !latencies;
-            flits_delivered := !flits_delivered + length
-        | None -> ())
-    | _ -> ()
-  in
   let config =
     { Noc_sim.Engine.default_config with buffer_depth; max_cycles }
   in
-  let outcome = Noc_sim.Engine.run ~config ~on_event net packets in
-  let lat = Array.of_list !latencies in
+  let outcome = Noc_sim.Engine.run ~config net packets in
+  let stats =
+    match outcome with
+    | Noc_sim.Engine.Completed s | Noc_sim.Engine.Timed_out s -> s
+    | Noc_sim.Engine.Deadlocked d -> d.Noc_sim.Engine.stats
+  in
+  let lat = Array.copy stats.Noc_sim.Stats.latencies in
   Array.sort compare lat;
   let n_lat = Array.length lat in
   let avg_latency =
@@ -178,6 +166,7 @@ let run_simulate ~prepare ~workload ~buffer_depth ~max_cycles net =
     else
       float_of_int (Array.fold_left ( + ) 0 lat) /. float_of_int n_lat
   in
+  let flits_delivered = stats.Noc_sim.Stats.flits_delivered in
   let flits_offered =
     List.fold_left
       (fun acc (p : Noc_sim.Packet.t) -> acc + p.Noc_sim.Packet.length)
@@ -189,12 +178,7 @@ let run_simulate ~prepare ~workload ~buffer_depth ~max_cycles net =
     | Noc_sim.Engine.Deadlocked _ -> (0., 1., 0.)
     | Noc_sim.Engine.Timed_out _ -> (0., 0., 1.)
   in
-  let cycles =
-    match outcome with
-    | Noc_sim.Engine.Completed s | Noc_sim.Engine.Timed_out s ->
-        s.Noc_sim.Stats.cycles
-    | Noc_sim.Engine.Deadlocked d -> d.Noc_sim.Engine.cycle
-  in
+  let cycles = stats.Noc_sim.Stats.cycles in
   let certified, waits_for_len, blocked, in_net =
     match outcome with
     | Noc_sim.Engine.Deadlocked d ->
@@ -211,7 +195,7 @@ let run_simulate ~prepare ~workload ~buffer_depth ~max_cycles net =
   in
   let throughput =
     if cycles = 0 then 0.
-    else float_of_int !flits_delivered /. float_of_int cycles
+    else float_of_int flits_delivered /. float_of_int cycles
   in
   Ok
     ([
@@ -224,7 +208,7 @@ let run_simulate ~prepare ~workload ~buffer_depth ~max_cycles net =
        ("packets", float_of_int (List.length packets));
        ("flits_offered", float_of_int flits_offered);
        ("delivered", float_of_int n_lat);
-       ("flits_delivered", float_of_int !flits_delivered);
+       ("flits_delivered", float_of_int flits_delivered);
        ("throughput", throughput);
        ("avg_latency", avg_latency);
        ("p50_latency", percentile lat 0.50);

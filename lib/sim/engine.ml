@@ -22,16 +22,13 @@ type deadlock_info = {
   in_network_flits : int;
   blocked_packets : int list;
   waits_for_cycle : int list option;
+  stats : Stats.t;
 }
 
 type outcome =
   | Completed of Stats.t
   | Deadlocked of deadlock_info
   | Timed_out of Stats.t
-
-(* A flit sitting in a channel FIFO; [arrived] forbids moving twice in
-   one cycle (one hop per cycle). *)
-type buffered = { flit : Packet.flit; mutable arrived : int }
 
 (* Observability: one span around the whole run, one span per batch of
    [span_cycle_batch] cycles (per-cycle spans would swamp the trace),
@@ -41,30 +38,128 @@ type buffered = { flit : Packet.flit; mutable arrived : int }
    idempotent and mutex-guarded, so runs on any domain are safe. *)
 let span_cycle_batch = 1024
 
-type chan_state = {
-  channel : Channel.t;
-  capacity : int;
-  queue : buffered Queue.t;
-  mutable owner : int option;  (* packet id holding the channel *)
-  mutable accepted : bool;  (* a flit already entered this cycle *)
-  mutable arrivals : int;  (* total flits accepted, for utilization *)
+(* A run compiled to flat arrays.  Channels are dense ints in
+   [Channel.compare] order, which is also the fixed service order.
+   Packets are dense ints in injection order: flows by id, each flow's
+   packets by (inject_at, id), so flow [f] injects packets
+   [flow_end.(f - 1)] to [flow_end.(f) - 1] in turn.  Every position on
+   every route is a dense int too ("hop"): packet [p]'s route is hops
+   [first.(p)] to [last.(p)], and [hop_channel]/[hop_packet] say where
+   and whose each hop is.  A buffered flit carries its hop, so
+   forwarding reads its next channel at [hop + 1]. *)
+type compiled = {
+  channels : Channel.t array;
+  hop_channel : int array;
+  hop_packet : int array;
+  id : int array;
+  length : int array;
+  inject_at : int array;
+  first : int array;
+  last : int array;
+  flow_of : int array;
+  flows : Ids.Flow.t array;
+  flow_end : int array;
 }
 
-(* Per-flow injection port: packets leave in order; [sent] counts the
-   flits of the front packet already pushed into the network. *)
-type source = { mutable pending : Packet.t list; mutable sent : int }
-
-let route_index (p : Packet.t) c =
-  let n = Array.length p.Packet.route in
-  let rec go i =
-    if i >= n then invalid_arg "Engine: flit in a channel not on its route"
-    else if Channel.equal p.Packet.route.(i) c then i
-    else go (i + 1)
+let compile net packets =
+  let channels =
+    Array.of_list (List.sort Channel.compare (Topology.channels (Network.topology net)))
   in
-  go 0
+  let dense = Channel.Table.create (Array.length channels) in
+  Array.iteri (fun i c -> Channel.Table.replace dense c i) channels;
+  let index c =
+    match Channel.Table.find_opt dense c with
+    | Some i -> i
+    | None ->
+        invalid_arg
+          (Format.asprintf "Engine.run: packet uses unknown channel %a" Channel.pp c)
+  in
+  let routes =
+    List.map (fun (p : Packet.t) -> (p, Array.map index p.Packet.route)) packets
+  in
+  (* A flit's hop would be ambiguous on a route that enters a channel
+     twice; valid routes never do ([Route.check_detailed]). *)
+  let seen = Array.make (Array.length channels) (-1) in
+  List.iteri
+    (fun k ((p : Packet.t), route) ->
+      Array.iter
+        (fun c ->
+          if seen.(c) = k then
+            invalid_arg
+              (Format.asprintf "Engine.run: packet %d revisits channel %a" p.Packet.id
+                 Channel.pp channels.(c));
+          seen.(c) <- k)
+        route)
+    routes;
+  let by_flow = Hashtbl.create 64 in
+  List.iter
+    (fun (((p : Packet.t), _) as entry) ->
+      let k = Ids.Flow.to_int p.Packet.flow in
+      Hashtbl.replace by_flow k
+        (entry :: Option.value ~default:[] (Hashtbl.find_opt by_flow k)))
+    routes;
+  let sources =
+    Hashtbl.fold
+      (fun k entries acc ->
+        let sorted =
+          List.sort
+            (fun ((a : Packet.t), _) ((b : Packet.t), _) ->
+              match compare a.Packet.inject_at b.Packet.inject_at with
+              | 0 -> compare a.Packet.id b.Packet.id
+              | c -> c)
+            entries
+        in
+        (k, sorted) :: acc)
+      by_flow []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+  in
+  let ordered = Array.of_list (List.concat sources) in
+  let n_hops = Array.fold_left (fun acc (_, route) -> acc + Array.length route) 0 ordered in
+  let hop_channel = Array.make n_hops 0 and hop_packet = Array.make n_hops 0 in
+  let first = Array.make (Array.length ordered) 0 in
+  let hop = ref 0 in
+  Array.iteri
+    (fun p (_, route) ->
+      first.(p) <- !hop;
+      Array.iter
+        (fun c ->
+          hop_channel.(!hop) <- c;
+          hop_packet.(!hop) <- p;
+          incr hop)
+        route)
+    ordered;
+  let packet f = Array.map (fun ((p : Packet.t), _) -> f p) ordered in
+  let flow_end = Array.make (List.length sources) 0 in
+  List.iteri
+    (fun f entries ->
+      flow_end.(f) <- (if f = 0 then 0 else flow_end.(f - 1)) + List.length entries)
+    sources;
+  {
+    channels;
+    hop_channel;
+    hop_packet;
+    id = packet (fun p -> p.Packet.id);
+    length = packet (fun p -> p.Packet.length);
+    inject_at = packet (fun p -> p.Packet.inject_at);
+    first;
+    last =
+      Array.mapi (fun p (_, route) -> first.(p) + Array.length route - 1) ordered;
+    flow_of =
+      Array.concat (List.mapi (fun f entries -> Array.make (List.length entries) f) sources);
+    flows =
+      Array.of_list
+        (List.map (fun entries -> (fst (List.hd entries)).Packet.flow) sources);
+    flow_end;
+  }
 
-let run ?(config = default_config) ?(on_event = fun (_ : Trace.event) -> ()) net
-    packets =
+(* FIFO storage starts at [fifo_slots] flits, or fewer when the buffer
+   or the whole run holds fewer, and doubles on demand.  It is never
+   sized by [buffer_depth] alone: the depth is only bounded from below,
+   and a FIFO can never hold more flits than the run has. *)
+let fifo_slots = 16
+
+let run ?(config = default_config) ?on_event net packets =
   let total_flits =
     List.fold_left (fun acc (p : Packet.t) -> acc + p.Packet.length) 0 packets
   in
@@ -75,243 +170,231 @@ let run ?(config = default_config) ?(on_event = fun (_ : Trace.event) -> ()) net
         ("flits", Noc_obs.Trace.Int total_flits);
       ]
   @@ fun run_span ->
-  let topo = Network.topology net in
-  let states = Channel.Table.create 256 in
-  List.iter
-    (fun c ->
-      Channel.Table.replace states c
-        {
-          channel = c;
-          capacity = config.buffer_depth;
-          queue = Queue.create ();
-          owner = None;
-          accepted = false;
-          arrivals = 0;
-        })
-    (Topology.channels topo);
-  let state c =
-    match Channel.Table.find_opt states c with
-    | Some s -> s
-    | None ->
-        invalid_arg
-          (Format.asprintf "Engine.run: packet uses unknown channel %a" Channel.pp c)
+  let r = compile net packets in
+  let tracing = Option.is_some on_event in
+  let emit = Option.value on_event ~default:ignore in
+  let depth = config.buffer_depth and latency = config.router_latency in
+  let n_channels = Array.length r.channels in
+  let n_packets = Array.length r.id in
+  let n_flows = Array.length r.flows in
+  (* Channel state: the packet holding the channel (a dense packet, -1
+     when free; ownership compares packet ids), the last cycle a flit
+     entered it, and the flits it accepted in total. *)
+  let owner = Array.make n_channels (-1) in
+  let entered_at = Array.make n_channels (-1) in
+  let arrivals = Array.make n_channels 0 in
+  (* Channel FIFOs: ring buffers of (hop, flit index, ready cycle)
+     triples; a flit may leave once the cycle reaches [ready]. *)
+  let storage = max 0 (min fifo_slots (min depth total_flits)) in
+  let fifo = Array.init n_channels (fun _ -> Array.make (3 * storage) 0) in
+  let fifo_head = Array.make n_channels 0 in
+  let fifo_len = Array.make n_channels 0 in
+  let grow c =
+    let q = fifo.(c) in
+    let slots = Array.length q / 3 in
+    let q' = Array.make (3 * min (max 4 (2 * slots)) (min depth total_flits)) 0 in
+    let h = fifo_head.(c) in
+    Array.blit q (3 * h) q' 0 (3 * (slots - h));
+    Array.blit q 0 q' (3 * (slots - h)) (3 * h);
+    fifo.(c) <- q';
+    fifo_head.(c) <- 0;
+    q'
   in
-  (* Validate all packet routes up front. *)
-  List.iter
-    (fun (p : Packet.t) -> Array.iter (fun c -> ignore (state c)) p.Packet.route)
-    packets;
-  let channel_order =
-    List.map state (List.sort Channel.compare (Topology.channels topo))
+  let push c hop flit ready =
+    let len = fifo_len.(c) in
+    let q = if 3 * len < Array.length fifo.(c) then fifo.(c) else grow c in
+    let slots = Array.length q / 3 in
+    let i = fifo_head.(c) + len in
+    let i = 3 * if i >= slots then i - slots else i in
+    q.(i) <- hop;
+    q.(i + 1) <- flit;
+    q.(i + 2) <- ready;
+    fifo_len.(c) <- len + 1
   in
-  (* Sources keyed by flow id, packets in (inject_at, id) order. *)
-  let by_flow = Hashtbl.create 64 in
-  List.iter
-    (fun (p : Packet.t) ->
-      let k = Ids.Flow.to_int p.Packet.flow in
-      Hashtbl.replace by_flow k
-        (p :: Option.value ~default:[] (Hashtbl.find_opt by_flow k)))
-    packets;
-  let sources =
-    Hashtbl.fold
-      (fun k ps acc ->
-        let sorted =
-          List.sort
-            (fun (a : Packet.t) b ->
-              match compare a.Packet.inject_at b.Packet.inject_at with
-              | 0 -> compare a.Packet.id b.Packet.id
-              | c -> c)
-            ps
-        in
-        (k, { pending = sorted; sent = 0 }) :: acc)
-      by_flow []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
+  let pop c =
+    let h = fifo_head.(c) + 1 in
+    fifo_head.(c) <- (if 3 * h = Array.length fifo.(c) then 0 else h);
+    fifo_len.(c) <- fifo_len.(c) - 1
   in
-  let n_packets = List.length packets in
-  let flits_moved = ref 0 in
-  let injected_flits = ref 0 in
-  let ejected_flits = ref 0 in
-  let acc = Stats.Accumulator.create () in
-  let record_delivery (p : Packet.t) cycle =
-    Stats.Accumulator.record acc ~flow:p.Packet.flow
-      ~latency:(cycle - p.Packet.inject_at)
-  in
-  let delivered () = Stats.Accumulator.delivered acc in
-  let network_flits () =
-    Channel.Table.fold (fun _ cs acc -> acc + Queue.length cs.queue) states 0
+  (* Sources: the flow's front packet and the flits of it already
+     injected. *)
+  let next = Array.init n_flows (fun f -> if f = 0 then 0 else r.flow_end.(f - 1)) in
+  let sent = Array.make n_flows 0 in
+  (* Accounting. *)
+  let flits_moved = ref 0 and injected = ref 0 and ejected = ref 0 in
+  let in_network = ref 0 and moved = ref false in
+  let delivered = ref 0 and flits_delivered = ref 0 in
+  let latencies = Array.make n_packets 0 in
+  let flow_delivered = Array.make n_flows 0 in
+  let flow_latency = Array.make n_flows 0 in
+  let flow_max = Array.make n_flows 0 in
+  let deliver p cycle =
+    let latency = cycle - r.inject_at.(p) and f = r.flow_of.(p) in
+    latencies.(!delivered) <- latency;
+    incr delivered;
+    flits_delivered := !flits_delivered + r.length.(p);
+    flow_delivered.(f) <- flow_delivered.(f) + 1;
+    flow_latency.(f) <- flow_latency.(f) + latency;
+    flow_max.(f) <- max flow_max.(f) latency
   in
   let stats cycle =
-    let channel_moves =
-      List.filter_map
-        (fun cs -> if cs.arrivals > 0 then Some (cs.channel, cs.arrivals) else None)
-        channel_order
-    in
+    let channel_moves = ref [] and per_flow = ref [] in
+    for c = n_channels - 1 downto 0 do
+      if arrivals.(c) > 0 then
+        channel_moves := (r.channels.(c), arrivals.(c)) :: !channel_moves
+    done;
+    for f = n_flows - 1 downto 0 do
+      if flow_delivered.(f) > 0 then
+        per_flow :=
+          {
+            Stats.flow = r.flows.(f);
+            delivered = flow_delivered.(f);
+            total_latency = flow_latency.(f);
+            max_latency = flow_max.(f);
+          }
+          :: !per_flow
+    done;
     {
       Stats.cycles = cycle;
-      delivered = delivered ();
+      delivered = !delivered;
       flits_moved = !flits_moved;
-      per_flow = Stats.Accumulator.flow_stats acc;
-      channel_moves;
+      flits_delivered = !flits_delivered;
+      latencies = Array.sub latencies 0 !delivered;
+      per_flow = !per_flow;
+      channel_moves = !channel_moves;
     }
   in
-  let n_channels = List.length channel_order in
-  (* Service order of the channels this cycle: fixed priority, or
-     rotated by one position per cycle for round-robin fairness. *)
-  let service_order cycle =
-    if (not config.rotate_priority) || n_channels = 0 then channel_order
-    else begin
-      let k = cycle mod n_channels in
-      let rec split i acc rest =
-        if i = k then rest @ List.rev acc
-        else
-          match rest with
-          | x :: tl -> split (i + 1) (x :: acc) tl
-          | [] -> List.rev acc
-      in
-      split 0 [] channel_order
+  (* A flit may enter channel [c] when its packet owns [c], or when [c]
+     is free and the flit is a head; one flit enters a channel per
+     cycle, and only while its FIFO has room. *)
+  let may_enter cycle p flit c =
+    let o = owner.(c) in
+    (if o < 0 then flit = 0 else o = p || r.id.(o) = r.id.(p))
+    && entered_at.(c) <> cycle
+    && fifo_len.(c) < depth
+  in
+  let enter cycle p hop flit c =
+    let was_free = owner.(c) < 0 in
+    owner.(c) <- p;
+    if tracing && was_free then
+      emit (Trace.Acquire { cycle; packet = r.id.(p); channel = r.channels.(c) });
+    entered_at.(c) <- cycle;
+    arrivals.(c) <- arrivals.(c) + 1;
+    push c hop flit (cycle + latency);
+    if tracing then
+      emit
+        (Trace.Hop { cycle; packet = r.id.(p); flit; channel = r.channels.(c) });
+    incr flits_moved;
+    moved := true
+  in
+  let release cycle p c =
+    owner.(c) <- -1;
+    if tracing then
+      emit (Trace.Release { cycle; packet = r.id.(p); channel = r.channels.(c) })
+  in
+  (* Forwarding and ejection out of channel [c]. *)
+  let forward cycle c =
+    if fifo_len.(c) > 0 then begin
+      let q = fifo.(c) and i = 3 * fifo_head.(c) in
+      if q.(i + 2) <= cycle then begin
+        let hop = q.(i) and flit = q.(i + 1) in
+        let p = r.hop_packet.(hop) in
+        let tail = flit = r.length.(p) - 1 in
+        if hop = r.last.(p) then begin
+          (* Ejection into the destination NI: always drains. *)
+          pop c;
+          incr flits_moved;
+          incr ejected;
+          decr in_network;
+          moved := true;
+          if tail then begin
+            release cycle p c;
+            deliver p cycle;
+            if tracing then emit (Trace.Deliver { cycle; packet = r.id.(p) })
+          end
+        end
+        else begin
+          let c' = r.hop_channel.(hop + 1) in
+          if may_enter cycle p flit c' then begin
+            pop c;
+            enter cycle p (hop + 1) flit c';
+            if tail then release cycle p c
+          end
+        end
+      end
     end
   in
-  (* One simulation cycle; returns true when anything moved. *)
-  let step cycle =
-    let moved = ref false in
-    List.iter (fun cs -> cs.accepted <- false) channel_order;
-    (* Forwarding and ejection. *)
-    let forward cs =
-      match Queue.peek_opt cs.queue with
-      | None -> ()
-      | Some b when b.arrived + config.router_latency > cycle -> ()
-      | Some b ->
-          let p = b.flit.Packet.packet in
-          let i = route_index p cs.channel in
-          if i = Array.length p.Packet.route - 1 then begin
-            (* Ejection into the destination NI: always drains. *)
-            ignore (Queue.pop cs.queue);
-            incr flits_moved;
-            incr ejected_flits;
-            moved := true;
-            if Packet.is_tail b.flit then begin
-              cs.owner <- None;
-              on_event
-                (Trace.Release { cycle; packet = p.Packet.id; channel = cs.channel });
-              record_delivery p cycle;
-              on_event (Trace.Deliver { cycle; packet = p.Packet.id })
-            end
-          end
-          else begin
-            let cs' = state p.Packet.route.(i + 1) in
-            let was_free = cs'.owner = None in
-            let may_own =
-              match cs'.owner with
-              | Some o -> o = p.Packet.id
-              | None -> Packet.is_head b.flit
-            in
-            if may_own && (not cs'.accepted) && Queue.length cs'.queue < cs'.capacity
-            then begin
-              ignore (Queue.pop cs.queue);
-              cs'.owner <- Some p.Packet.id;
-              if was_free then
-                on_event
-                  (Trace.Acquire
-                     { cycle; packet = p.Packet.id; channel = cs'.channel });
-              cs'.accepted <- true;
-              cs'.arrivals <- cs'.arrivals + 1;
-              Queue.push { flit = b.flit; arrived = cycle } cs'.queue;
-              on_event
-                (Trace.Hop
-                   {
-                     cycle;
-                     packet = p.Packet.id;
-                     flit = b.flit.Packet.index;
-                     channel = cs'.channel;
-                   });
-              if Packet.is_tail b.flit then begin
-                cs.owner <- None;
-                on_event
-                  (Trace.Release
-                     { cycle; packet = p.Packet.id; channel = cs.channel })
-              end;
-              incr flits_moved;
-              moved := true
-            end
-          end
-    in
-    List.iter forward (service_order cycle);
-    (* Injection, one flit per flow per cycle. *)
-    let inject src =
-      match src.pending with
-      | [] -> ()
-      | p :: rest ->
-          if p.Packet.inject_at <= cycle then begin
-            let cs' = state p.Packet.route.(0) in
-            let flit = { Packet.packet = p; index = src.sent } in
-            let was_free = cs'.owner = None in
-            let may_own =
-              match cs'.owner with
-              | Some o -> o = p.Packet.id
-              | None -> Packet.is_head flit
-            in
-            if may_own && (not cs'.accepted) && Queue.length cs'.queue < cs'.capacity
-            then begin
-              cs'.owner <- Some p.Packet.id;
-              if Packet.is_head flit then
-                on_event (Trace.Inject { cycle; packet = p.Packet.id });
-              if was_free then
-                on_event
-                  (Trace.Acquire
-                     { cycle; packet = p.Packet.id; channel = cs'.channel });
-              cs'.accepted <- true;
-              cs'.arrivals <- cs'.arrivals + 1;
-              Queue.push { flit; arrived = cycle } cs'.queue;
-              on_event
-                (Trace.Hop
-                   {
-                     cycle;
-                     packet = p.Packet.id;
-                     flit = flit.Packet.index;
-                     channel = cs'.channel;
-                   });
-              src.sent <- src.sent + 1;
-              incr flits_moved;
-              incr injected_flits;
-              moved := true;
-              if src.sent = p.Packet.length then begin
-                src.pending <- rest;
-                src.sent <- 0
-              end
-            end
-          end
-    in
-    List.iter inject sources;
-    !moved
+  (* Injection, one flit per flow per cycle. *)
+  let inject cycle f =
+    let p = next.(f) in
+    if p < r.flow_end.(f) && r.inject_at.(p) <= cycle then begin
+      let hop = r.first.(p) and flit = sent.(f) in
+      let c = r.hop_channel.(hop) in
+      if may_enter cycle p flit c then begin
+        if tracing && flit = 0 then emit (Trace.Inject { cycle; packet = r.id.(p) });
+        enter cycle p hop flit c;
+        incr injected;
+        incr in_network;
+        if flit + 1 = r.length.(p) then begin
+          next.(f) <- p + 1;
+          sent.(f) <- 0
+        end
+        else sent.(f) <- flit + 1
+      end
+    end
   in
-  (* Waits-for edges at stall time, for the deadlock certificate. *)
-  let waits_for cycle =
-    let edges = ref [] in
-    let blocked = ref [] in
-    let consider_waiter pid next_cs =
-      blocked := pid :: !blocked;
-      match next_cs.owner with
-      | Some q when q <> pid ->
-          edges := { Deadlock_detect.waiter = pid; holder = q } :: !edges
-      | Some _ | None -> ()
+  (* Service order of the channels: fixed priority, or rotated by one
+     position per cycle for round-robin fairness. *)
+  let step cycle =
+    moved := false;
+    if config.rotate_priority && n_channels > 0 then begin
+      let k = cycle mod n_channels in
+      for c = k to n_channels - 1 do
+        forward cycle c
+      done;
+      for c = 0 to k - 1 do
+        forward cycle c
+      done
+    end
+    else
+      for c = 0 to n_channels - 1 do
+        forward cycle c
+      done;
+    for f = 0 to n_flows - 1 do
+      inject cycle f
+    done
+  in
+  let eligible_source cycle =
+    let rec go f =
+      f < n_flows
+      && ((next.(f) < r.flow_end.(f) && r.inject_at.(next.(f)) <= cycle) || go (f + 1))
     in
-    List.iter
-      (fun cs ->
-        match Queue.peek_opt cs.queue with
-        | None -> ()
-        | Some b ->
-            let p = b.flit.Packet.packet in
-            let i = route_index p cs.channel in
-            if i < Array.length p.Packet.route - 1 then
-              consider_waiter p.Packet.id (state p.Packet.route.(i + 1)))
-      channel_order;
-    List.iter
-      (fun src ->
-        match src.pending with
-        | p :: _ when p.Packet.inject_at <= cycle ->
-            consider_waiter p.Packet.id (state p.Packet.route.(0))
-        | _ :: _ | [] -> ())
-      sources;
+    go 0
+  in
+  (* Waits-for edges at stall time, for the deadlock certificate: every
+     channel's front flit in channel order, then every eligible source
+     in flow order. *)
+  let waits_for cycle =
+    let edges = ref [] and blocked = ref [] in
+    let consider_waiter p c =
+      let pid = r.id.(p) in
+      blocked := pid :: !blocked;
+      let o = owner.(c) in
+      if o >= 0 && r.id.(o) <> pid then
+        edges := { Deadlock_detect.waiter = pid; holder = r.id.(o) } :: !edges
+    in
+    for c = 0 to n_channels - 1 do
+      if fifo_len.(c) > 0 then begin
+        let hop = fifo.(c).(3 * fifo_head.(c)) in
+        let p = r.hop_packet.(hop) in
+        if hop < r.last.(p) then consider_waiter p r.hop_channel.(hop + 1)
+      end
+    done;
+    for f = 0 to n_flows - 1 do
+      let p = next.(f) in
+      if p < r.flow_end.(f) && r.inject_at.(p) <= cycle then
+        consider_waiter p r.hop_channel.(r.first.(p))
+    done;
     (List.rev !edges, List.sort_uniq compare !blocked)
   in
   (* Span batching: one "sim.cycles" span per [span_cycle_batch] cycles
@@ -330,10 +413,10 @@ let run ?(config = default_config) ?(on_event = fun (_ : Trace.event) -> ()) net
     Noc_obs.Trace.finish !batch_span;
     Noc_obs.Metrics.add
       (Noc_obs.Metrics.counter "noc_sim_flits_injected_total")
-      !injected_flits;
+      !injected;
     Noc_obs.Metrics.add
       (Noc_obs.Metrics.counter "noc_sim_flits_delivered_total")
-      !ejected_flits;
+      !ejected;
     let name, cycles =
       match outcome with
       | Completed s -> ("completed", s.Stats.cycles)
@@ -345,39 +428,35 @@ let run ?(config = default_config) ?(on_event = fun (_ : Trace.event) -> ()) net
     in
     Noc_obs.Trace.add_attr run_span "outcome" (Noc_obs.Trace.Str name);
     Noc_obs.Trace.add_attr run_span "cycles" (Noc_obs.Trace.Int cycles);
-    Noc_obs.Trace.add_attr run_span "delivered"
-      (Noc_obs.Trace.Int (delivered ()));
+    Noc_obs.Trace.add_attr run_span "delivered" (Noc_obs.Trace.Int !delivered);
     outcome
   in
+  (* Deep pipelines legitimately idle for [router_latency] cycles; the
+     watchdog must not mistake that for a deadlock. *)
+  let threshold = max config.stall_threshold (4 * latency) in
   let rec loop cycle stall =
-    if delivered () = n_packets then conclude (Completed (stats cycle))
+    if !delivered = n_packets then conclude (Completed (stats cycle))
     else if cycle >= config.max_cycles then conclude (Timed_out (stats cycle))
     else begin
       if cycle mod span_cycle_batch = 0 then rotate_batch cycle;
-      let moved = step cycle in
-      let in_net = network_flits () in
-      let eligible_source =
-        List.exists
-          (fun src ->
-            match src.pending with
-            | p :: _ -> p.Packet.inject_at <= cycle
-            | [] -> false)
-          sources
+      step cycle;
+      (* A cycle without movement counts only while the network is
+         alive: flits in flight, or a source allowed to inject. *)
+      let stall =
+        if !moved then 0
+        else if !in_network > 0 || eligible_source cycle then stall + 1
+        else 0
       in
-      let alive = in_net > 0 || eligible_source in
-      let stall = if moved || not alive then 0 else stall + 1 in
-      (* Deep pipelines legitimately idle for [router_latency] cycles;
-         the watchdog must not mistake that for a deadlock. *)
-      let threshold = max config.stall_threshold (4 * config.router_latency) in
       if stall >= threshold then begin
         let edges, blocked = waits_for cycle in
         conclude
           (Deadlocked
              {
                cycle;
-               in_network_flits = in_net;
+               in_network_flits = !in_network;
                blocked_packets = blocked;
                waits_for_cycle = Deadlock_detect.find_cycle edges;
+               stats = stats cycle;
              })
       end
       else loop (cycle + 1) stall

@@ -11,7 +11,28 @@
     The simulator never tries to work around a deadlock: if packets
     stop moving while flits remain in flight, it reports the deadlock
     together with a waits-for cycle certificate.  That is the
-    behavioural ground truth the paper's static analysis predicts. *)
+    behavioural ground truth the paper's static analysis predicts.
+
+    {b Compiled runs.}  {!run} first compiles its input once: channels
+    become dense ints in {!Noc_model.Channel.compare} order (the fixed
+    service order), each packet's route an int array, and the packets
+    one array in injection order.  The cycle loop then steps over flat
+    arrays: channel FIFOs are ring buffers of (route position, flit,
+    ready cycle), so a hop reads its next channel without searching
+    the route; "a flit entered this cycle" is a per-channel cycle
+    stamp; and the in-network flit count is kept as flits enter and
+    leave.  Compilation costs O(route hops) plus the sort of the
+    packets; a cycle costs O(channels + flows) plus O(1) per flit
+    moved.
+
+    {b Listeners.}  {!Trace} events are built only when [on_event] is
+    given; without it a run allocates nothing per hop.  With it, every
+    action allocates one event and calls the listener.
+
+    {b Latencies.}  Each delivered packet's latency and the flits of
+    the delivered packets are on the outcome: in the {!Stats.t} of
+    [Completed] and [Timed_out], and in [deadlock_info.stats] for a
+    deadlock, so a caller needs no listener for them. *)
 
 open Noc_model
 
@@ -42,6 +63,9 @@ type deadlock_info = {
   waits_for_cycle : int list option;
       (** A cyclic chain of packet ids, when one exists: the formal
           deadlock certificate. *)
+  stats : Stats.t;
+      (** What the run achieved up to the stall, [cycles] being
+          [cycle]. *)
 }
 
 type outcome =
@@ -59,10 +83,11 @@ val run :
 
     When a {!Noc_obs.Trace} collector is installed, the run records a
     ["sim.run"] span (packet/flit counts, outcome, cycles) containing
-    one ["sim.cycles"] span per 1024-cycle batch, and bumps the
-    [sim.flits_injected] / [sim.flits_delivered] / [sim.deadlocks]
-    metrics.
+    one ["sim.cycles"] span per 1024-cycle batch.  Every run adds to the
+    [noc_sim_flits_injected_total] and [noc_sim_flits_delivered_total]
+    counters (flits injected and ejected) and, on a deadlock, bumps
+    [noc_sim_deadlocks_total].
     @raise Invalid_argument when a packet references an unknown
-    channel. *)
+    channel, or a route enters the same channel twice. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -11,6 +11,8 @@ type t = {
   cycles : int;
   delivered : int;
   flits_moved : int;
+  flits_delivered : int;
+  latencies : int array;
   per_flow : flow_stats list;
   channel_moves : (Channel.t * int) list;
 }
@@ -41,39 +43,6 @@ let avg_latency t =
 let max_latency t = List.fold_left (fun acc f -> max acc f.max_latency) 0 t.per_flow
 
 let flow t id = List.find_opt (fun f -> Ids.Flow.equal f.flow id) t.per_flow
-
-module Accumulator = struct
-  type acc = {
-    table : (int, flow_stats ref) Hashtbl.t;
-    mutable total_delivered : int;
-  }
-
-  let create () = { table = Hashtbl.create 64; total_delivered = 0 }
-
-  let record acc ~flow ~latency =
-    acc.total_delivered <- acc.total_delivered + 1;
-    let cell =
-      match Hashtbl.find_opt acc.table (Ids.Flow.to_int flow) with
-      | Some r -> r
-      | None ->
-          let r = ref { flow; delivered = 0; total_latency = 0; max_latency = 0 } in
-          Hashtbl.replace acc.table (Ids.Flow.to_int flow) r;
-          r
-    in
-    cell :=
-      {
-        !cell with
-        delivered = !cell.delivered + 1;
-        total_latency = !cell.total_latency + latency;
-        max_latency = max !cell.max_latency latency;
-      }
-
-  let delivered acc = acc.total_delivered
-
-  let flow_stats acc =
-    Hashtbl.fold (fun _ r l -> !r :: l) acc.table []
-    |> List.sort (fun a b -> Ids.Flow.compare a.flow b.flow)
-end
 
 let pp ppf t =
   Format.fprintf ppf

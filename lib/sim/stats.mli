@@ -11,8 +11,12 @@ type flow_stats = {
 
 type t = {
   cycles : int;
-  delivered : int;
+  delivered : int;  (** Packets whose tail was ejected. *)
   flits_moved : int;
+  flits_delivered : int;  (** Flits of the delivered packets. *)
+  latencies : int array;
+      (** Each delivered packet's latency (ejection cycle of its tail
+          minus its [inject_at]), in delivery order. *)
   per_flow : flow_stats list;
   channel_moves : (Channel.t * int) list;
       (** Flits that crossed each channel (entered its buffer), in
@@ -26,17 +30,6 @@ val utilization : t -> Channel.t -> float
 
 val busiest_channel : t -> (Channel.t * int) option
 (** The channel with the most flit arrivals (ties: smallest channel). *)
-
-(** Incremental per-flow accounting shared by the simulation engines. *)
-module Accumulator : sig
-  type acc
-
-  val create : unit -> acc
-  val record : acc -> flow:Ids.Flow.t -> latency:int -> unit
-  val delivered : acc -> int
-  val flow_stats : acc -> flow_stats list
-  (** Sorted by flow id. *)
-end
 
 val avg_latency : t -> float
 (** Mean packet latency over all delivered packets; [0.] when none. *)

@@ -88,10 +88,12 @@ let run ?(config = Engine.default_config) ?(on_event = fun (_ : Trace.event) -> 
   let flits_moved = ref 0 in
   (* Per-flow accounting, keyed by flow id. *)
   let per_flow = Hashtbl.create 64 in
-  let delivered = ref 0 in
+  let delivered = ref 0 and flits_delivered = ref 0 and latencies = ref [] in
   let record_delivery (p : Packet.t) cycle =
     let latency = cycle - p.Packet.inject_at in
     incr delivered;
+    flits_delivered := !flits_delivered + p.Packet.length;
+    latencies := latency :: !latencies;
     let k = Ids.Flow.to_int p.Packet.flow in
     let f =
       Option.value
@@ -120,6 +122,8 @@ let run ?(config = Engine.default_config) ?(on_event = fun (_ : Trace.event) -> 
       Stats.cycles = cycle;
       delivered = !delivered;
       flits_moved = !flits_moved;
+      flits_delivered = !flits_delivered;
+      latencies = Array.of_list (List.rev !latencies);
       per_flow =
         Hashtbl.fold (fun _ f l -> f :: l) per_flow []
         |> List.sort (fun a b -> Ids.Flow.compare a.Stats.flow b.Stats.flow);
@@ -279,6 +283,7 @@ let run ?(config = Engine.default_config) ?(on_event = fun (_ : Trace.event) -> 
             in_network_flits = in_net;
             blocked_packets = blocked;
             waits_for_cycle = Deadlock_detect.find_cycle edges;
+            stats = stats cycle;
           }
       end
       else loop (cycle + 1) stall
