@@ -184,6 +184,23 @@ let test_engine_unknown_channel_rejected () =
     (Invalid_argument "Engine.run: packet uses unknown channel L0'3") (fun () ->
       ignore (Engine.run net [ p ]))
 
+(* A route that enters a channel twice leaves a flit's position on it
+   ambiguous; it used to be misreported as a starvation deadlock. *)
+let test_engine_revisiting_route_rejected () =
+  let topo = Topology.create ~n_switches:2 in
+  let l0 = Topology.add_link topo ~src:(sw 0) ~dst:(sw 1) in
+  let l1 = Topology.add_link topo ~src:(sw 1) ~dst:(sw 0) in
+  let traffic = Traffic.create ~n_cores:2 in
+  let f = Traffic.add_flow traffic ~src:(core 0) ~dst:(core 1) ~bandwidth:1. in
+  let net =
+    Network.make ~topology:topo ~traffic ~mapping:(fun c -> sw (Ids.Core.to_int c))
+  in
+  let route = [ Channel.make l0 0; Channel.make l1 0; Channel.make l0 0 ] in
+  let p = Packet.make ~id:0 ~flow:f ~route ~length:2 ~inject_at:0 in
+  Alcotest.check_raises "revisit"
+    (Invalid_argument "Engine.run: packet 0 revisits channel L0") (fun () ->
+      ignore (Engine.run net [ p ]))
+
 let test_engine_empty_workload () =
   let net, _, _ = one_link_net () in
   match Engine.run net [] with
@@ -816,6 +833,7 @@ let () =
           tc "inject_at respected" test_engine_respects_inject_at;
           tc "wormhole serialization" test_engine_wormhole_blocking;
           tc "unknown channel rejected" test_engine_unknown_channel_rejected;
+          tc "revisiting route rejected" test_engine_revisiting_route_rejected;
           tc "empty workload" test_engine_empty_workload;
         ] );
       ( "engine_deadlock",
