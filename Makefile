@@ -150,7 +150,10 @@ sim-smoke: build
 # (pool, server, batch) twenty times, each under a 60 s timeout so a
 # stranded worker fails fast instead of hanging, then the full registry
 # batch on 4 domains three times under a tiny minor heap (constant
-# cross-domain GC pressure), diffed with wall times stripped.
+# cross-domain GC pressure), diffed with wall times stripped.  Last,
+# 36 simulate jobs (two designs x six workload kinds x three
+# preparations) once on 1 domain and twice on 4, diffed the same way
+# with the domain count stripped too.
 race-smoke:
 	$(DUNE) build test/test_service.exe bin/noc_tool.exe
 	@set -e; \
@@ -168,7 +171,16 @@ race-smoke:
 	diff "$$dir/run1.txt" "$$dir/run2.txt"; \
 	diff "$$dir/run1.txt" "$$dir/run3.txt"; \
 	cat "$$dir/run1.txt"; \
-	echo "race-smoke: OK (20 service runs, 3 identical 4-domain batches)"
+	for run in 1 4a 4b; do \
+	  OCAMLRUNPARAM=s=4k ./_build/default/bin/noc_tool.exe \
+	    batch test/cli/registry_sim_jobs.json -j $${run%[ab]} \
+	    | sed -E 's/ +[0-9.]+ ms/ <ms>/g; s/ on [0-9]+ domains? / on <n> domains /' \
+	    > "$$dir/sim-$$run.txt"; \
+	done; \
+	diff "$$dir/sim-1.txt" "$$dir/sim-4a.txt"; \
+	diff "$$dir/sim-1.txt" "$$dir/sim-4b.txt"; \
+	tail -n 1 "$$dir/sim-1.txt"; \
+	echo "race-smoke: OK (20 service runs, 3 identical 4-domain batches, simulate identical on 1 and 4 domains)"
 
 # The daemon-benchmark correctness smoke, run by the nocbench-smoke CI
 # job: each nocbench workload for 5 s.  Its result line must say every
