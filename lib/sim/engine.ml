@@ -91,6 +91,8 @@ let compile net packets =
           seen.(c) <- k)
         route)
     routes;
+  (* Injection order: flows by id; within a flow, packets by
+     (inject_at, id), ties in reverse input order. *)
   let by_flow = Hashtbl.create 64 in
   List.iter
     (fun (((p : Packet.t), _) as entry) ->
@@ -99,59 +101,57 @@ let compile net packets =
         (entry :: Option.value ~default:[] (Hashtbl.find_opt by_flow k)))
     routes;
   let sources =
-    Hashtbl.fold
-      (fun k entries acc ->
-        let sorted =
-          List.sort
-            (fun ((a : Packet.t), _) ((b : Packet.t), _) ->
-              match compare a.Packet.inject_at b.Packet.inject_at with
-              | 0 -> compare a.Packet.id b.Packet.id
-              | c -> c)
-            entries
-        in
-        (k, sorted) :: acc)
-      by_flow []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
+    Hashtbl.fold (fun k entries acc -> (k, entries) :: acc) by_flow []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map (fun (_, entries) ->
+           List.stable_sort
+             (fun ((a : Packet.t), _) ((b : Packet.t), _) ->
+               match Int.compare a.Packet.inject_at b.Packet.inject_at with
+               | 0 -> Int.compare a.Packet.id b.Packet.id
+               | c -> c)
+             entries)
   in
-  let ordered = Array.of_list (List.concat sources) in
-  let n_hops = Array.fold_left (fun acc (_, route) -> acc + Array.length route) 0 ordered in
-  let hop_channel = Array.make n_hops 0 and hop_packet = Array.make n_hops 0 in
-  let first = Array.make (Array.length ordered) 0 in
-  let hop = ref 0 in
-  Array.iteri
-    (fun p (_, route) ->
-      first.(p) <- !hop;
-      Array.iter
-        (fun c ->
-          hop_channel.(!hop) <- c;
-          hop_packet.(!hop) <- p;
-          incr hop)
-        route)
-    ordered;
-  let packet f = Array.map (fun ((p : Packet.t), _) -> f p) ordered in
-  let flow_end = Array.make (List.length sources) 0 in
+  let n_packets = List.length packets and n_flows = List.length sources in
+  let n_hops = List.fold_left (fun acc (_, route) -> acc + Array.length route) 0 routes in
+  let c =
+    {
+      channels;
+      hop_channel = Array.make n_hops 0;
+      hop_packet = Array.make n_hops 0;
+      id = Array.make n_packets 0;
+      length = Array.make n_packets 0;
+      inject_at = Array.make n_packets 0;
+      first = Array.make n_packets 0;
+      last = Array.make n_packets 0;
+      flow_of = Array.make n_packets 0;
+      flows = Array.make n_flows (Ids.Flow.of_int 0);
+      flow_end = Array.make n_flows 0;
+    }
+  in
+  let p = ref 0 and hop = ref 0 in
   List.iteri
     (fun f entries ->
-      flow_end.(f) <- (if f = 0 then 0 else flow_end.(f - 1)) + List.length entries)
+      List.iter
+        (fun ((packet : Packet.t), route) ->
+          let k = !p in
+          c.flows.(f) <- packet.Packet.flow;
+          c.id.(k) <- packet.Packet.id;
+          c.length.(k) <- packet.Packet.length;
+          c.inject_at.(k) <- packet.Packet.inject_at;
+          c.flow_of.(k) <- f;
+          c.first.(k) <- !hop;
+          Array.iter
+            (fun ch ->
+              c.hop_channel.(!hop) <- ch;
+              c.hop_packet.(!hop) <- k;
+              incr hop)
+            route;
+          c.last.(k) <- !hop - 1;
+          incr p)
+        entries;
+      c.flow_end.(f) <- !p)
     sources;
-  {
-    channels;
-    hop_channel;
-    hop_packet;
-    id = packet (fun p -> p.Packet.id);
-    length = packet (fun p -> p.Packet.length);
-    inject_at = packet (fun p -> p.Packet.inject_at);
-    first;
-    last =
-      Array.mapi (fun p (_, route) -> first.(p) + Array.length route - 1) ordered;
-    flow_of =
-      Array.concat (List.mapi (fun f entries -> Array.make (List.length entries) f) sources);
-    flows =
-      Array.of_list
-        (List.map (fun entries -> (fst (List.hd entries)).Packet.flow) sources);
-    flow_end;
-  }
+  c
 
 (* FIFO storage starts at [fifo_slots] flits, or fewer when the buffer
    or the whole run holds fewer, and doubles on demand.  It is never
