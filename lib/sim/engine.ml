@@ -324,10 +324,12 @@ let run ?(config = default_config) ?on_event net packets =
       end
     end
   in
+  (* Whether flow [f] has a front packet allowed to inject at [cycle]. *)
+  let ready cycle f = next.(f) < r.flow_end.(f) && r.inject_at.(next.(f)) <= cycle in
   (* Injection, one flit per flow per cycle. *)
   let inject cycle f =
-    let p = next.(f) in
-    if p < r.flow_end.(f) && r.inject_at.(p) <= cycle then begin
+    if ready cycle f then begin
+      let p = next.(f) in
       let hop = r.first.(p) and flit = sent.(f) in
       let c = r.hop_channel.(hop) in
       if may_enter cycle p flit c then begin
@@ -365,10 +367,7 @@ let run ?(config = default_config) ?on_event net packets =
     done
   in
   let eligible_source cycle =
-    let rec go f =
-      f < n_flows
-      && ((next.(f) < r.flow_end.(f) && r.inject_at.(next.(f)) <= cycle) || go (f + 1))
-    in
+    let rec go f = f < n_flows && (ready cycle f || go (f + 1)) in
     go 0
   in
   (* Waits-for edges at stall time, for the deadlock certificate: every
@@ -391,9 +390,7 @@ let run ?(config = default_config) ?on_event net packets =
       end
     done;
     for f = 0 to n_flows - 1 do
-      let p = next.(f) in
-      if p < r.flow_end.(f) && r.inject_at.(p) <= cycle then
-        consider_waiter p r.hop_channel.(r.first.(p))
+      if ready cycle f then consider_waiter next.(f) r.hop_channel.(r.first.(next.(f)))
     done;
     (List.rev !edges, List.sort_uniq compare !blocked)
   in
