@@ -292,78 +292,77 @@ let run ?(config = default_config) ?on_event net packets =
     if tracing then
       emit (Trace.Release { cycle; packet = r.id.(p); channel = r.channels.(c) })
   in
-  (* Forwarding and ejection out of channel [c]. *)
+  (* Forwarding and ejection out of the non-empty channel [c]. *)
   let forward cycle c =
-    if fifo_len.(c) > 0 then begin
-      let q = fifo.(c) and i = 3 * fifo_head.(c) in
-      if q.(i + 2) <= cycle then begin
-        let hop = q.(i) and flit = q.(i + 1) in
-        let p = r.hop_packet.(hop) in
-        let tail = flit = r.length.(p) - 1 in
-        if hop = r.last.(p) then begin
-          (* Ejection into the destination NI: always drains. *)
-          pop c;
-          incr flits_moved;
-          incr ejected;
-          decr in_network;
-          moved := true;
-          if tail then begin
-            release cycle p c;
-            deliver p cycle;
-            if tracing then emit (Trace.Deliver { cycle; packet = r.id.(p) })
-          end
+    let q = fifo.(c) and i = 3 * fifo_head.(c) in
+    if q.(i + 2) <= cycle then begin
+      let hop = q.(i) and flit = q.(i + 1) in
+      let p = r.hop_packet.(hop) in
+      let tail = flit = r.length.(p) - 1 in
+      if hop = r.last.(p) then begin
+        (* Ejection into the destination NI: always drains. *)
+        pop c;
+        incr flits_moved;
+        incr ejected;
+        decr in_network;
+        moved := true;
+        if tail then begin
+          release cycle p c;
+          deliver p cycle;
+          if tracing then emit (Trace.Deliver { cycle; packet = r.id.(p) })
         end
-        else begin
-          let c' = r.hop_channel.(hop + 1) in
-          if may_enter cycle p flit c' then begin
-            pop c;
-            enter cycle p (hop + 1) flit c';
-            if tail then release cycle p c
-          end
+      end
+      else begin
+        let c' = r.hop_channel.(hop + 1) in
+        if may_enter cycle p flit c' then begin
+          pop c;
+          enter cycle p (hop + 1) flit c';
+          if tail then release cycle p c
         end
       end
     end
   in
   (* Whether flow [f] has a front packet allowed to inject at [cycle]. *)
   let ready cycle f = next.(f) < r.flow_end.(f) && r.inject_at.(next.(f)) <= cycle in
-  (* Injection, one flit per flow per cycle. *)
-  let inject cycle f =
-    if ready cycle f then begin
-      let p = next.(f) in
-      let hop = r.first.(p) and flit = sent.(f) in
-      let c = r.hop_channel.(hop) in
-      if may_enter cycle p flit c then begin
-        if tracing && flit = 0 then emit (Trace.Inject { cycle; packet = r.id.(p) });
-        enter cycle p hop flit c;
-        incr injected;
-        incr in_network;
-        if flit + 1 = r.length.(p) then begin
-          next.(f) <- p + 1;
-          sent.(f) <- 0
-        end
-        else sent.(f) <- flit + 1
+  (* Injection of the next flit of flow [f]'s front packet [p]. *)
+  let inject cycle f p =
+    let hop = r.first.(p) and flit = sent.(f) in
+    let c = r.hop_channel.(hop) in
+    if may_enter cycle p flit c then begin
+      if tracing && flit = 0 then emit (Trace.Inject { cycle; packet = r.id.(p) });
+      enter cycle p hop flit c;
+      incr injected;
+      incr in_network;
+      if flit + 1 = r.length.(p) then begin
+        next.(f) <- p + 1;
+        sent.(f) <- 0
       end
+      else sent.(f) <- flit + 1
     end
   in
-  (* Service order of the channels: fixed priority, or rotated by one
-     position per cycle for round-robin fairness. *)
+  (* One cycle: forwarding in service order (fixed priority, or
+     rotated by one position per cycle for round-robin fairness), then
+     one injected flit per flow in flow order.  These loops visit
+     every channel and flow each cycle, so the empty-FIFO and
+     readiness tests stay inline rather than behind a call. *)
   let step cycle =
     moved := false;
     if config.rotate_priority && n_channels > 0 then begin
       let k = cycle mod n_channels in
       for c = k to n_channels - 1 do
-        forward cycle c
+        if fifo_len.(c) > 0 then forward cycle c
       done;
       for c = 0 to k - 1 do
-        forward cycle c
+        if fifo_len.(c) > 0 then forward cycle c
       done
     end
     else
       for c = 0 to n_channels - 1 do
-        forward cycle c
+        if fifo_len.(c) > 0 then forward cycle c
       done;
     for f = 0 to n_flows - 1 do
-      inject cycle f
+      let p = next.(f) in
+      if p < r.flow_end.(f) && r.inject_at.(p) <= cycle then inject cycle f p
     done
   in
   let eligible_source cycle =
