@@ -212,6 +212,33 @@ let test_fig9_golden () =
     ]
     rows
 
+(* One digest over every rendered paper artefact, laid out as
+   bench/main.exe prints them: Table 1's narration, Figures 8-10, the
+   aggregate claims, the ablation table (X2) and the simulator demos
+   (X1).  It pins every number and every line of layout at once. *)
+let test_paper_outputs_golden () =
+  let b = Buffer.create 16384 in
+  let ppf = Format.formatter_of_buffer b in
+  Format.fprintf ppf "%t@." Ring_example.narrate;
+  Figures.pp_vc_rows ~title:"Figure 8 (D26_media)" ppf (Figures.fig8 ());
+  Format.fprintf ppf "@.";
+  Figures.pp_vc_rows ~title:"Figure 9 (D36_8)" ppf (Figures.fig9 ());
+  Format.fprintf ppf "@.";
+  Figures.pp_power_rows ppf (Figures.fig10 ());
+  Format.fprintf ppf "@.";
+  Figures.pp_summary ppf (Figures.summary ());
+  Format.fprintf ppf "@.";
+  Figures.pp_ablation ppf (Figures.ablation ());
+  Format.fprintf ppf "@.";
+  List.iter
+    (fun (before, after) ->
+      Format.fprintf ppf "%a@.@.%a@.@." Sim_check.pp_result before
+        Sim_check.pp_result after)
+    [ Sim_check.ring_demo (); Sim_check.benchmark_demo () ];
+  check Alcotest.string "paper outputs digest"
+    "2a16fbcb8da42e20e8d9c61bfafd1299"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ------------------------------------------------------------------ *)
 (* Design space                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -447,6 +474,7 @@ let () =
           slow "figure 9 golden values" test_fig9_golden;
           slow "figure 10 shape" test_fig10_shape;
           tc "ablation" test_ablation_rows;
+          slow "paper outputs golden digest" test_paper_outputs_golden;
         ] );
       ( "design_space",
         [
