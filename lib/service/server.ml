@@ -341,9 +341,15 @@ let unix_listener path =
   | { Unix.st_kind = Unix.S_SOCK; _ } -> Sys.remove path  (* stale *)
   | _ -> failwith (Printf.sprintf "%s exists and is not a socket" path)
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+  (* Bind under a temporary name and rename it onto [path] only once
+     the socket listens: a client that connects as soon as [path]
+     exists is never refused. *)
+  let tmp = Printf.sprintf "%s.%d" path (Unix.getpid ()) in
+  (try Unix.unlink tmp with Unix.Unix_error (Unix.ENOENT, _, _) -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.bind fd (Unix.ADDR_UNIX tmp);
   Unix.listen fd 64;
+  Unix.rename tmp path;
   fd
 
 let tcp_listener port =

@@ -1325,6 +1325,35 @@ let test_server_end_to_end_warm_restart () =
           | _ -> ())
         cold warm)
 
+(* The socket path appears only once the daemon listens, so a client
+   that connects the moment the path exists is never refused.  The
+   client spins on the path to land as close to the bind as it can. *)
+let test_server_socket_ready_when_path_appears () =
+  with_temp_dir (fun dir ->
+      let socket = Filename.concat dir "serve.sock" in
+      for round = 1 to 20 do
+        let server =
+          Server.create
+            { Server.default_config with socket_path = socket; domains = 1 }
+        in
+        let d = Domain.spawn (fun () -> Server.run server) in
+        let deadline = Unix.gettimeofday () +. 10. in
+        while not (Sys.file_exists socket) do
+          if Unix.gettimeofday () > deadline then begin
+            Server.stop server;
+            Domain.join d;
+            Alcotest.fail "server socket never appeared"
+          end
+        done;
+        let connected = Client.connect ~socket in
+        Result.iter Client.close connected;
+        Server.stop server;
+        Domain.join d;
+        match connected with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "round %d: %s" round e
+      done)
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck_cases =
@@ -1409,6 +1438,8 @@ let () =
         [
           Alcotest.test_case "end-to-end, warm restart" `Quick
             test_server_end_to_end_warm_restart;
+          Alcotest.test_case "socket path appears only once listening" `Quick
+            test_server_socket_ready_when_path_appears;
         ] );
       ( "batch",
         [
