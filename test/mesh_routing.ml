@@ -1,3 +1,13 @@
+(* Mesh routing functions for the Duato tests: dimension-ordered (XY)
+   routing on VC 0, and Duato's construction, which routes fully
+   adaptively and minimally on VC 1 with an XY escape lane on VC 0 and
+   passes [Noc_deadlock.Duato.check] with [escape = (vc = 0)].
+
+   Both assume the [Noc_synth.Regular.mesh] id convention (switch
+   [(x, y)] has id [y * columns + x]) and that every mesh link carries
+   the VCs offered.  A missing mesh link raises [Invalid_argument] at
+   query time. *)
+
 open Noc_model
 
 let link_between topo a b =
