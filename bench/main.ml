@@ -1,9 +1,10 @@
 (* Experiment harness: regenerates every table and figure of the
-   paper's evaluation (Section 5) and times the core algorithm with
-   bechamel.
+   paper's evaluation (Section 5), times the core algorithm with
+   bechamel, and writes the machine-readable BENCH_*.json reports.
 
-   Usage: main.exe [table1|fig8|fig9|fig10|summary|ablation|simcheck|perf|all]
-   (default: all). *)
+   Usage: main.exe [SECTION...] (default: all), where SECTION is one of
+   table1 fig8 fig9 fig10 summary ablation sweeps technode sensitivity
+   simcheck perf removal service sim, or all. *)
 
 open Noc_experiments
 
@@ -65,41 +66,6 @@ let run_sweeps () =
         Format.std_formatter rows;
       Format.printf "@.@.")
     Noc_benchmarks.Registry.all
-
-let run_latency () =
-  section "Load-latency curves: removal-fixed vs ordering-fixed (D36_8@14)";
-  let spec =
-    match Noc_benchmarks.Registry.find "D36_8" with
-    | Some s -> s
-    | None -> assert false
-  in
-  let traffic = spec.Noc_benchmarks.Spec.build () in
-  let base = Noc_synth.Custom.synthesize_exn traffic ~n_switches:14 in
-  let removal_net = Noc_model.Network.copy base in
-  ignore (Noc_deadlock.Removal.run removal_net);
-  let ordering_net = Noc_model.Network.copy base in
-  ignore
-    (Noc_deadlock.Resource_ordering.apply
-       ~strategy:Noc_deadlock.Resource_ordering.Hop_index ordering_net);
-  Load_latency.pp_rows ~title:"after deadlock removal (+3 VC)" Format.std_formatter
-    (Load_latency.sweep removal_net);
-  Format.printf "@.@.";
-  Load_latency.pp_rows ~title:"after hop-index resource ordering (+54 VC)"
-    Format.std_formatter
-    (Load_latency.sweep ordering_net);
-  Format.printf "@."
-
-let run_pareto () =
-  section "Design-space exploration (D26_media): Pareto over power/area/hops";
-  let spec =
-    match Noc_benchmarks.Registry.find "D26_media" with
-    | Some s -> s
-    | None -> assert false
-  in
-  let points = Design_space.explore spec in
-  Design_space.pp Format.std_formatter points;
-  Format.printf "@.%d points, %d on the Pareto front@.@." (List.length points)
-    (List.length (Design_space.pareto_front points))
 
 let run_technode () =
   section "Figure-10 relationship across technology nodes (D36_8@14)";
@@ -186,25 +152,6 @@ let run_sensitivity () =
   variant "bidirectionalized"
     { default_options with force_bidirectional = true };
   Format.printf "%a@.@." Series.pp table
-
-let run_resilience () =
-  section "Single-link-failure resilience (D26_media@8, before/after hardening)";
-  let spec =
-    match Noc_benchmarks.Registry.find "D26_media" with
-    | Some s -> s
-    | None -> assert false
-  in
-  let traffic = spec.Noc_benchmarks.Spec.build () in
-  let net = Noc_synth.Custom.synthesize_exn traffic ~n_switches:8 in
-  Format.printf "as synthesized:  %a@." Resilience.pp (Resilience.sweep net);
-  let hardened = Noc_model.Network.copy net in
-  let hr = Noc_synth.Harden.run hardened in
-  Format.printf "after hardening (+%d links): %a@.@." hr.Noc_synth.Harden.links_added
-    Resilience.pp (Resilience.sweep hardened)
-
-let run_qos () =
-  section "GT flow isolation under best-effort burst (D36_8@14)";
-  Format.printf "%a@.@." Qos_check.pp_result (Qos_check.run ())
 
 let run_simcheck () =
   section "Simulation cross-check: deadlock before, completion after";
@@ -607,12 +554,8 @@ let all_sections =
     ("summary", run_summary);
     ("ablation", run_ablation);
     ("sweeps", run_sweeps);
-    ("pareto", run_pareto);
     ("technode", run_technode);
     ("sensitivity", run_sensitivity);
-    ("resilience", run_resilience);
-    ("qos", run_qos);
-    ("latency", run_latency);
     ("simcheck", run_simcheck);
     ("perf", run_perf);
     ("removal", run_removal_json);

@@ -1,8 +1,8 @@
 (* noc_tool: command-line front end for the deadlock-removal flow.
 
    Subcommands: list, synth, remove, ordering, updown, duato, optimal,
-   harden, analyze, lint, prove, dot, tables, compare, simulate, batch,
-   serve, submit, serve-stats, trace, example.  Every command works on a named
+   analyze, lint, prove, dot, compare, simulate, campaign, batch, serve,
+   submit, serve-stats, top, trace, example.  Every command works on a named
    benchmark synthesized at a chosen switch count — or on a design file
    via --input — so results are reproducible from the shell. *)
 
@@ -251,12 +251,6 @@ let reroute_first_arg =
            ~doc:"Try to break cycles by rerouting flows onto alternative \
                  physical paths before adding any VCs.")
 
-let balance_arg =
-  Arg.(value & flag
-       & info [ "balance" ]
-           ~doc:"After removal, spread flows across each link's VCs \
-                 (acyclicity-preserving) to reduce head-of-line blocking.")
-
 let no_incremental_arg =
   Arg.(value & flag
        & info [ "no-incremental" ]
@@ -274,7 +268,7 @@ let validate_cdg_arg =
 
 let remove_cmd =
   let run () name n_switches degree heuristic directions resource reroute
-      balance no_incremental validate_cdg trace input save =
+      no_incremental validate_cdg trace input save =
     let net = or_die (obtain_network ~input ~name ~n_switches ~degree) in
     if reroute then
       Format.printf "%a@.@." Noc_deadlock.Reroute.pp_report
@@ -285,9 +279,6 @@ let remove_cmd =
             ~incremental:(not no_incremental) ~validate:validate_cdg net)
     in
     Format.printf "%a@.@." Noc_deadlock.Removal.pp_report report;
-    if balance && report.Noc_deadlock.Removal.deadlock_free then
-      Format.printf "%a@.@." Noc_deadlock.Vc_balance.pp_report
-        (Noc_deadlock.Vc_balance.run net);
     let cert = Noc_deadlock.Verify.certify net in
     Format.printf "%a@.@." Noc_deadlock.Verify.pp_certificate cert;
     Format.printf "%a@." Noc_power.Report.pp_summary
@@ -298,7 +289,7 @@ let remove_cmd =
     (Cmd.info "remove" ~doc:"Remove deadlocks from a design, verify, and price")
     Term.(const run $ logs_term $ benchmark_arg $ switches_arg $ degree_arg
           $ heuristic_arg $ directions_arg $ resource_arg $ reroute_first_arg
-          $ balance_arg $ no_incremental_arg $ validate_cdg_arg
+          $ no_incremental_arg $ validate_cdg_arg
           $ trace_file_arg $ input_arg $ save_arg)
 
 let optimal_cmd =
@@ -318,21 +309,6 @@ let optimal_cmd =
        ~doc:"Exact minimum-VC removal (branch-and-bound oracle) vs the heuristic")
     Term.(const run $ logs_term $ benchmark_arg $ switches_arg $ degree_arg
           $ input_arg $ budget_arg)
-
-let harden_cmd =
-  let run () name n_switches degree input save =
-    let net = or_die (obtain_network ~input ~name ~n_switches ~degree) in
-    let critical = Metrics.critical_links net in
-    Format.printf "single points of failure: %d@." (List.length critical);
-    let r = Noc_synth.Harden.run net in
-    Format.printf "%a@." Noc_synth.Harden.pp_report r;
-    maybe_save save net
-  in
-  Cmd.v
-    (Cmd.info "harden" ~doc:"Add backup links until no single link failure \
-                             can disconnect a flow")
-    Term.(const run $ logs_term $ benchmark_arg $ switches_arg $ degree_arg
-          $ input_arg $ save_arg)
 
 let strategy_arg =
   let choice =
@@ -464,33 +440,19 @@ let analyze_cmd =
     Arg.(value & opt float 4000.
          & info [ "capacity" ] ~doc:"Link capacity in MB/s for the feasibility check.")
   in
-  let top_arg =
-    Arg.(value & opt int 5
-         & info [ "top" ] ~doc:"How many of the most power-hungry flows to list.")
-  in
-  let run () name n_switches degree input capacity top =
+  let run () name n_switches degree input capacity =
     let net = or_die (obtain_network ~input ~name ~n_switches ~degree) in
     Format.printf "%a@.@." Metrics.pp (Metrics.of_network net);
     Format.printf "%a@.@." Bandwidth.pp (Bandwidth.analyze ~capacity_mbps:capacity net);
-    let fe = Noc_power.Flow_energy.of_network net in
-    Format.printf "top %d flows by dynamic power (of %.3f mW total):@." top
-      fe.Noc_power.Flow_energy.total_dynamic_mw;
-    List.iteri
-      (fun i c ->
-        if i < top then
-          Format.printf "  %a: %d hops, %.2f pJ/bit, %.3f mW@." Ids.Flow.pp
-            c.Noc_power.Flow_energy.flow c.Noc_power.Flow_energy.hops
-            c.Noc_power.Flow_energy.energy_pj_per_bit
-            c.Noc_power.Flow_energy.power_mw)
-      (Noc_power.Flow_energy.ranked fe);
     let deadlock_free = Noc_deadlock.Removal.is_deadlock_free net in
-    Format.printf "@.deadlock-free as analyzed: %b@." deadlock_free
+    Format.printf "deadlock-free as analyzed: %b@." deadlock_free
   in
   Cmd.v
     (Cmd.info "analyze"
-       ~doc:"Design health report: metrics, bandwidth feasibility, flow energy")
+       ~doc:"Design health report: metrics, bandwidth feasibility, deadlock \
+             verdict")
     Term.(const run $ logs_term $ benchmark_arg $ switches_arg $ degree_arg
-          $ input_arg $ capacity_arg $ top_arg)
+          $ input_arg $ capacity_arg)
 
 let duato_cmd =
   let function_arg =
@@ -526,35 +488,6 @@ let duato_cmd =
        ~doc:"Check Duato's deadlock-freedom condition for a routing function")
     Term.(const run $ logs_term $ benchmark_arg $ switches_arg $ degree_arg
           $ input_arg $ function_arg $ escape_arg)
-
-let tables_cmd =
-  let switch_arg =
-    Arg.(value & opt (some int) None
-         & info [ "switch" ] ~doc:"Print only this switch's table." ~docv:"N")
-  in
-  let run () name n_switches degree input switch =
-    let net = or_die (obtain_network ~input ~name ~n_switches ~degree) in
-    let t = Tables.compile net in
-    (match Tables.check net t with
-    | Ok () -> ()
-    | Error e ->
-        Format.eprintf "internal error: inconsistent tables: %s@." e;
-        exit 1);
-    Format.printf "%d table entries across %d switches@.@."
-      (Tables.total_entries t)
-      (Topology.n_switches (Network.topology net));
-    let print s = Format.printf "%a@.@." (Tables.pp_switch t) (Ids.Switch.of_int s) in
-    match switch with
-    | Some s -> print s
-    | None ->
-        for s = 0 to Topology.n_switches (Network.topology net) - 1 do
-          print s
-        done
-  in
-  Cmd.v
-    (Cmd.info "tables" ~doc:"Compile and print per-switch forwarding tables")
-    Term.(const run $ logs_term $ benchmark_arg $ switches_arg $ degree_arg
-          $ input_arg $ switch_arg)
 
 let lint_cmd =
   let files_arg =
@@ -2028,8 +1961,7 @@ let () =
     Cmd.group info
       [
         list_cmd; synth_cmd; remove_cmd; ordering_cmd; updown_cmd; dot_cmd;
-        analyze_cmd; lint_cmd; prove_cmd; duato_cmd; optimal_cmd; harden_cmd;
-        tables_cmd;
+        analyze_cmd; lint_cmd; prove_cmd; duato_cmd; optimal_cmd;
         compare_cmd; simulate_cmd; campaign_cmd; batch_cmd; serve_cmd;
         submit_cmd; serve_stats_cmd; top_cmd; trace_cmd; example_cmd;
       ]

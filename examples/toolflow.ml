@@ -1,6 +1,6 @@
 (* The production tool flow, end to end on one design: synthesize ->
    save to disk -> reload -> health report -> reroute-first ->
-   deadlock removal -> verify -> forwarding tables -> final report.
+   deadlock removal -> verify -> final report -> simulation.
    Everything a team would script around `noc_tool` done through the
    library API.
 
@@ -38,8 +38,6 @@ let () =
   Format.printf "  %a@." Metrics.pp (Metrics.of_network net);
   let bw = Bandwidth.analyze ~capacity_mbps:4000. net in
   Format.printf "  %a@." Bandwidth.pp bw;
-  let critical = Metrics.critical_links net in
-  Format.printf "  single-point-of-failure links: %d@." (List.length critical);
 
   step 4 "deadlock status";
   (match Cdg.smallest_cycle (Cdg.build net) with
@@ -65,25 +63,11 @@ let () =
         (Noc_deadlock.Verify.check_numbering net numbering)
   | None -> ());
 
-  step 7 "compile the hardware forwarding tables";
-  let tables = Tables.compile net in
-  (match Tables.check net tables with
-  | Ok () ->
-      Format.printf "  %d entries, consistent with all routes@."
-        (Tables.total_entries tables)
-  | Error e -> failwith e);
-
-  step 8 "price the final design";
+  step 7 "price the final design";
   Format.printf "  %a@." Noc_power.Report.pp_summary
     (Noc_power.Report.of_network net);
-  let fe = Noc_power.Flow_energy.of_network net in
-  (match Noc_power.Flow_energy.ranked fe with
-  | top :: _ ->
-      Format.printf "  hungriest flow: %a at %.3f mW@." Ids.Flow.pp
-        top.Noc_power.Flow_energy.flow top.Noc_power.Flow_energy.power_mw
-  | [] -> ());
 
-  step 9 "stress the result in the wormhole simulator";
+  step 8 "stress the result in the wormhole simulator";
   let packets =
     Noc_benchmarks.Workloads.bandwidth_proportional net ~packet_length:4
       ~duration:2000 ~capacity_mbps:4000. ~seed:1

@@ -63,15 +63,6 @@ let evaluate (spec : Noc_benchmarks.Spec.t) ~n_switches =
     removal_iterations = removal_report.Noc_deadlock.Removal.iterations;
   }
 
-let evaluate_many ?(domains = 1) points =
-  (* [evaluate] builds its traffic and network privately and touches no
-     shared state, so points can be farmed out to pool workers; the
-     pool preserves input order, keeping the result identical to the
-     sequential List.map for any [domains]. *)
-  Noc_pool.Pool.run ~domains
-    (fun (spec, n_switches) -> evaluate spec ~n_switches)
-    points
-
 let pp_point ppf p =
   Format.fprintf ppf
     "%s @ %d switches: removal +%d VC (%d cycles broken)%s, ordering +%d VC, \

@@ -30,11 +30,4 @@ val evaluate : Noc_benchmarks.Spec.t -> n_switches:int -> point
     @raise Failure if synthesis cannot route the traffic (not observed
     on the shipped benchmarks). *)
 
-val evaluate_many :
-  ?domains:int -> (Noc_benchmarks.Spec.t * int) list -> point list
-(** {!evaluate} over a list of points, farmed out to a
-    {!Noc_pool.Pool} of [domains] workers (default [1] = sequential,
-    no domain spawned).  Results are in input order and bit-identical
-    to the sequential run for any [domains]. *)
-
 val pp_point : Format.formatter -> point -> unit

@@ -59,55 +59,6 @@ let of_network net =
     switch_connectivity = connectivity;
   }
 
-let flow_cut_bandwidth net ~src ~dst =
-  let topo = Network.topology net in
-  let multiplicity = Hashtbl.create 64 in
-  List.iter
-    (fun (l : Topology.link) ->
-      let key = (Ids.Switch.to_int l.Topology.src, Ids.Switch.to_int l.Topology.dst) in
-      Hashtbl.replace multiplicity key
-        (1. +. Option.value ~default:0. (Hashtbl.find_opt multiplicity key)))
-    (Topology.links topo);
-  let g = Topology.switch_graph topo in
-  let capacity u v = Option.value ~default:0. (Hashtbl.find_opt multiplicity (u, v)) in
-  Noc_graph.Max_flow.max_flow g ~capacity ~source:(Ids.Switch.to_int src)
-    ~sink:(Ids.Switch.to_int dst)
-
-let critical_links net =
-  let topo = Network.topology net in
-  let pairs =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (f : Traffic.flow) ->
-           let src, dst = Network.endpoints net f.Traffic.id in
-           if Ids.Switch.equal src dst then None
-           else Some (Ids.Switch.to_int src, Ids.Switch.to_int dst))
-         (Traffic.flows (Network.traffic net)))
-  in
-  (* Rebuild the switch graph without one link and re-check every
-     endpoint pair; parallel links make a link non-critical by
-     construction (the twin keeps the edge alive). *)
-  let links = Topology.links topo in
-  let is_critical (victim : Topology.link) =
-    let g = Noc_graph.Digraph.create ~initial_capacity:(Topology.n_switches topo) () in
-    Noc_graph.Digraph.ensure_vertex g (Topology.n_switches topo - 1);
-    List.iter
-      (fun (l : Topology.link) ->
-        if not (Ids.Link.equal l.Topology.id victim.Topology.id) then
-          Noc_graph.Digraph.add_edge g
-            (Ids.Switch.to_int l.Topology.src)
-            (Ids.Switch.to_int l.Topology.dst))
-      links;
-    List.exists
-      (fun (s, d) ->
-        not (Noc_graph.Traversal.reachable g s).(d))
-      pairs
-  in
-  List.filter_map
-    (fun (l : Topology.link) ->
-      if is_critical l then Some l.Topology.id else None)
-    links
-
 let pp ppf m =
   Format.fprintf ppf
     "@[<v>%d switches, %d links, %d VCs, %d routed flows@,\

@@ -1,6 +1,6 @@
 (** Whole-design quality metrics: hop counts, link-load statistics and
-    cut bandwidth.  Used by the synthesizer's evaluation, the ablation
-    study, and anyone judging a design before/after a transformation. *)
+    switch connectivity.  [noc_tool analyze] and the toolflow example
+    print them to judge a design before/after a transformation. *)
 
 type t = {
   n_switches : int;
@@ -19,17 +19,5 @@ type t = {
 }
 
 val of_network : Network.t -> t
-
-val flow_cut_bandwidth :
-  Network.t -> src:Ids.Switch.t -> dst:Ids.Switch.t -> float
-(** Maximum bandwidth (in units of link capacities = 1.0 per link)
-    that could flow between two switches — the min cut of the switch
-    graph.  Collapses parallel links into their multiplicity. *)
-
-val critical_links : Network.t -> Ids.Link.t list
-(** Links whose removal disconnects at least one routed flow's
-    endpoint pair — the single points of failure of the design, in
-    link-id order.  A robust design has none (every flow pair has a
-    disjoint backup path). *)
 
 val pp : Format.formatter -> t -> unit

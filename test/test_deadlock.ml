@@ -566,131 +566,10 @@ let test_report_printers () =
   check bool_c "ordering report" true (renders Resource_ordering.pp_report ordering);
   let table = Cost_table.forward (Fixtures.paper_ring ()).Fixtures.net paper_cycle in
   check bool_c "cost table" true (renders Cost_table.pp table);
-  let balance = Vc_balance.run net in
-  check bool_c "balance report" true (renders Vc_balance.pp_report balance);
   let reroute = Reroute.run net in
   check bool_c "reroute report" true (renders Reroute.pp_report reroute);
   let optimal = Optimal.search net in
   check bool_c "optimal report" true (renders Optimal.pp_result optimal)
-
-(* ------------------------------------------------------------------ *)
-(* GT isolation                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_isolation_basic () =
-  let ring = Fixtures.paper_ring () in
-  let net = ring.Fixtures.net in
-  ignore (Removal.run net);
-  let gt = ring.Fixtures.flows.(0) in
-  (* F1 shares L1' with F4 and L2/L3 with others before isolation. *)
-  check bool_c "initially shared" true
-    (Result.is_error (Isolation.verify_isolation net ~guaranteed:[ gt ]));
-  let r = Isolation.isolate net ~guaranteed:[ gt ] in
-  check bool_c "now exclusive" true
-    (Isolation.verify_isolation net ~guaranteed:[ gt ] = Ok ());
-  check bool_c "still deadlock-free" true (Removal.is_deadlock_free net);
-  check bool_c "bought some VCs" true (r.Isolation.vcs_added > 0);
-  Fixtures.check_valid "isolated ring" net
-
-let test_isolation_physical_path_preserved () =
-  let ring = Fixtures.paper_ring () in
-  let net = ring.Fixtures.net in
-  ignore (Removal.run net);
-  let before = Network.copy net in
-  ignore (Isolation.isolate net ~guaranteed:[ ring.Fixtures.flows.(0) ]);
-  check bool_c "links unchanged" true
-    (Validate.routes_equivalent ~before ~after:net)
-
-let test_isolation_rejections () =
-  let ring = Fixtures.paper_ring () in
-  let net = ring.Fixtures.net in
-  Alcotest.check_raises "cyclic input"
-    (Invalid_argument "Isolation.isolate: CDG is cyclic; run Removal first")
-    (fun () -> ignore (Isolation.isolate net ~guaranteed:[ ring.Fixtures.flows.(0) ]));
-  ignore (Removal.run net);
-  Alcotest.check_raises "duplicate flow"
-    (Invalid_argument "Isolation.isolate: duplicate flow in the guaranteed list")
-    (fun () ->
-      ignore
-        (Isolation.isolate net
-           ~guaranteed:[ ring.Fixtures.flows.(0); ring.Fixtures.flows.(0) ]))
-
-let test_isolation_two_flows () =
-  let ring = Fixtures.paper_ring () in
-  let net = ring.Fixtures.net in
-  ignore (Removal.run net);
-  let gts = [ ring.Fixtures.flows.(0); ring.Fixtures.flows.(1) ] in
-  ignore (Isolation.isolate net ~guaranteed:gts);
-  check bool_c "both exclusive" true
-    (Isolation.verify_isolation net ~guaranteed:gts = Ok ());
-  check bool_c "still deadlock-free" true (Removal.is_deadlock_free net)
-
-let test_isolation_reuses_idle_vcs () =
-  (* One flow on a 2-VC link where VC 1 is idle: isolation must reuse
-     it instead of buying VC 2. *)
-  let topo = Topology.create ~n_switches:2 in
-  let l = Topology.add_link topo ~src:(sw 0) ~dst:(sw 1) in
-  ignore (Topology.add_vc topo l);
-  let traffic = Traffic.create ~n_cores:2 in
-  let fa = Traffic.add_flow traffic ~src:(core 0) ~dst:(core 1) ~bandwidth:10. in
-  let fb = Traffic.add_flow traffic ~src:(core 0) ~dst:(core 1) ~bandwidth:10. in
-  let net =
-    Network.make ~topology:topo ~traffic ~mapping:(fun c -> sw (Ids.Core.to_int c))
-  in
-  Network.set_route net fa [ Channel.make l 0 ];
-  Network.set_route net fb [ Channel.make l 0 ];
-  let r = Isolation.isolate net ~guaranteed:[ fa ] in
-  check int_c "no VC bought" 0 r.Isolation.vcs_added;
-  check int_c "one move" 1 r.Isolation.moves;
-  check bool_c "exclusive" true (Isolation.verify_isolation net ~guaranteed:[ fa ] = Ok ())
-
-(* ------------------------------------------------------------------ *)
-(* VC balancing                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_vc_balance_requires_acyclic () =
-  let ring = Fixtures.paper_ring () in
-  Alcotest.check_raises "cyclic rejected"
-    (Invalid_argument "Vc_balance.run: CDG is cyclic; run Removal first")
-    (fun () -> ignore (Vc_balance.run ring.Fixtures.net))
-
-let test_vc_balance_spreads_flows () =
-  (* Two flows share one link that has a second, idle VC. *)
-  let topo = Topology.create ~n_switches:2 in
-  let l = Topology.add_link topo ~src:(sw 0) ~dst:(sw 1) in
-  ignore (Topology.add_vc topo l);
-  let traffic = Traffic.create ~n_cores:2 in
-  let fa = Traffic.add_flow traffic ~src:(core 0) ~dst:(core 1) ~bandwidth:10. in
-  let fb = Traffic.add_flow traffic ~src:(core 0) ~dst:(core 1) ~bandwidth:10. in
-  let fc = Traffic.add_flow traffic ~src:(core 0) ~dst:(core 1) ~bandwidth:10. in
-  let net =
-    Network.make ~topology:topo ~traffic ~mapping:(fun c -> sw (Ids.Core.to_int c))
-  in
-  List.iter (fun f -> Network.set_route net f [ Channel.make l 0 ]) [ fa; fb; fc ];
-  let r = Vc_balance.run net in
-  check int_c "was 3 on one channel" 3 r.Vc_balance.max_flows_per_channel_before;
-  check int_c "now split 2/1" 2 r.Vc_balance.max_flows_per_channel_after;
-  check bool_c "still acyclic" true (Removal.is_deadlock_free net);
-  Fixtures.check_valid "balanced" net
-
-let test_vc_balance_preserves_safety_on_benchmark () =
-  let spec =
-    match Noc_benchmarks.Registry.find "D36_8" with
-    | Some s -> s
-    | None -> Alcotest.fail "missing benchmark"
-  in
-  let traffic = spec.Noc_benchmarks.Spec.build () in
-  let net = Noc_synth.Custom.synthesize_exn traffic ~n_switches:14 in
-  ignore (Removal.run net);
-  let before = Network.copy net in
-  let r = Vc_balance.run net in
-  check bool_c "never worse" true
-    (r.Vc_balance.max_flows_per_channel_after
-    <= r.Vc_balance.max_flows_per_channel_before);
-  check bool_c "still acyclic" true (Removal.is_deadlock_free net);
-  check bool_c "physical routes untouched" true
-    (Validate.routes_equivalent ~before ~after:net);
-  Fixtures.check_valid "balanced benchmark" net
 
 (* ------------------------------------------------------------------ *)
 (* Exact optimum (branch-and-bound)                                    *)
@@ -1102,20 +981,6 @@ let () =
           tc "mesh all-to-all" test_updown_on_mesh_traffic;
         ] );
       ("printers", [ tc "all report types render" test_report_printers ]);
-      ( "isolation",
-        [
-          tc "basic exclusivity" test_isolation_basic;
-          tc "physical path preserved" test_isolation_physical_path_preserved;
-          tc "rejections" test_isolation_rejections;
-          tc "two flows" test_isolation_two_flows;
-          tc "reuses idle VCs" test_isolation_reuses_idle_vcs;
-        ] );
-      ( "vc_balance",
-        [
-          tc "requires acyclic input" test_vc_balance_requires_acyclic;
-          tc "spreads flows" test_vc_balance_spreads_flows;
-          tc "safe on benchmark" test_vc_balance_preserves_safety_on_benchmark;
-        ] );
       ( "optimal",
         [
           tc "ring minimum" test_optimal_ring;

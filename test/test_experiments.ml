@@ -239,51 +239,6 @@ let test_paper_outputs_golden () =
     "2a16fbcb8da42e20e8d9c61bfafd1299"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
-(* ------------------------------------------------------------------ *)
-(* Design space                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_design_space_explore () =
-  let points =
-    Design_space.explore ~switch_counts:[ 8; 11 ] ~degrees:[ 3; 4 ]
-      (spec "D26_media")
-  in
-  check int_c "2 x 2 x 2 points" 8 (List.length points);
-  let front = Design_space.pareto_front points in
-  check bool_c "front non-empty" true (front <> []);
-  check bool_c "front subset" true
-    (List.for_all (fun p -> p.Design_space.pareto) front);
-  (* Nothing on the front may be dominated by any point. *)
-  List.iter
-    (fun p ->
-      List.iter
-        (fun q ->
-          let dominates =
-            q.Design_space.power_mw < p.Design_space.power_mw
-            && q.Design_space.area_mm2 < p.Design_space.area_mm2
-            && q.Design_space.avg_hops < p.Design_space.avg_hops
-          in
-          check bool_c "front undominated" false dominates)
-        points)
-    front
-
-let test_pareto_front_logic () =
-  let mk power area hops =
-    {
-      Design_space.n_switches = 0;
-      max_degree = 0;
-      mapper = "x";
-      vcs_added = 0;
-      power_mw = power;
-      area_mm2 = area;
-      avg_hops = hops;
-      pareto = false;
-    }
-  in
-  let a = mk 1. 1. 1. and b = mk 2. 2. 2. and c = mk 1. 2. 0.5 in
-  let front = Design_space.pareto_front [ a; b; c ] in
-  check int_c "b dominated" 2 (List.length front)
-
 let test_every_benchmark_every_scale () =
   (* Safety net across the whole matrix: every benchmark, several
      switch counts — synthesis must produce a valid design and removal
@@ -305,92 +260,6 @@ let test_every_benchmark_every_scale () =
           end)
         [ 4; 6; 10; 14; 19; 24; 30; 36 ])
     Noc_benchmarks.Registry.all
-
-(* ------------------------------------------------------------------ *)
-(* Resilience                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_resilience_ring_fragile () =
-  (* Every link of the unidirectional ring is fatal. *)
-  let t = Ring_example.build () in
-  let r = Resilience.sweep t.Ring_example.net in
-  check int_c "all 4 links" 4 r.Resilience.total_links;
-  check int_c "nothing survivable" 0 r.Resilience.survivable_failures;
-  List.iter
-    (fun o -> check bool_c "unroutable" false o.Resilience.routable)
-    r.Resilience.outcomes
-
-let test_resilience_hardening_helps () =
-  let t = Ring_example.build () in
-  let net = t.Ring_example.net in
-  ignore (Noc_synth.Harden.run net);
-  let r = Resilience.sweep net in
-  check int_c "all failures survivable" r.Resilience.total_links
-    r.Resilience.survivable_failures;
-  (* And the original design was not mutated by the sweep itself. *)
-  check int_c "links intact" 8
-    (Noc_model.Topology.n_links (Noc_model.Network.topology net))
-
-let test_resilience_drop_link () =
-  let t = Ring_example.build () in
-  let degraded = Resilience.drop_link t.Ring_example.net (Fixtures.lk 0) in
-  check int_c "one fewer link" 3
-    (Noc_model.Topology.n_links (Noc_model.Network.topology degraded));
-  (* VC counts of survivors are preserved. *)
-  ignore
-    (Noc_model.Topology.add_vc (Noc_model.Network.topology t.Ring_example.net)
-       (Fixtures.lk 2));
-  let degraded' = Resilience.drop_link t.Ring_example.net (Fixtures.lk 0) in
-  let has_two_vcs =
-    List.exists
-      (fun (l : Noc_model.Topology.link) ->
-        Noc_model.Topology.vc_count
-          (Noc_model.Network.topology degraded')
-          l.Noc_model.Topology.id
-        = 2)
-      (Noc_model.Topology.links (Noc_model.Network.topology degraded'))
-  in
-  check bool_c "vc counts carried over" true has_two_vcs
-
-(* ------------------------------------------------------------------ *)
-(* Load-latency                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_load_latency_rejects_cyclic () =
-  let t = Ring_example.build () in
-  Alcotest.check_raises "cyclic rejected"
-    (Invalid_argument "Load_latency.sweep: design still has CDG cycles")
-    (fun () -> ignore (Load_latency.sweep t.Ring_example.net))
-
-let test_load_latency_monotone_load () =
-  let t = Ring_example.build () in
-  ignore (Noc_deadlock.Removal.run t.Ring_example.net);
-  let rows =
-    Load_latency.sweep ~packets_per_flow:4 ~intervals:[ 64; 16; 4 ]
-      t.Ring_example.net
-  in
-  check int_c "three points" 3 (List.length rows);
-  (* Rows come back lowest load first; offered load strictly rises. *)
-  let rec rising = function
-    | a :: (b :: _ as rest) ->
-        a.Load_latency.offered_load < b.Load_latency.offered_load && rising rest
-    | [ _ ] | [] -> true
-  in
-  check bool_c "load rising" true (rising rows);
-  List.iter
-    (fun r ->
-      check bool_c "all packets delivered" true r.Load_latency.completed;
-      check bool_c "latency positive" true (r.Load_latency.avg_latency > 0.))
-    rows
-
-let test_load_latency_low_load_is_light () =
-  (* At very light load the average latency approaches the no-contention
-     path latency: small, bounded. *)
-  let t = Ring_example.build () in
-  ignore (Noc_deadlock.Removal.run t.Ring_example.net);
-  match Load_latency.sweep ~packets_per_flow:2 ~intervals:[ 256 ] t.Ring_example.net with
-  | [ r ] -> check bool_c "light load, light latency" true (r.Load_latency.avg_latency < 30.)
-  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
 (* ------------------------------------------------------------------ *)
 (* Sim check                                                           *)
@@ -476,25 +345,8 @@ let () =
           tc "ablation" test_ablation_rows;
           slow "paper outputs golden digest" test_paper_outputs_golden;
         ] );
-      ( "design_space",
-        [
-          tc "explore" test_design_space_explore;
-          tc "pareto logic" test_pareto_front_logic;
-        ] );
       ( "full_matrix",
         [ slow "every benchmark at every scale" test_every_benchmark_every_scale ] );
-      ( "resilience",
-        [
-          tc "ring is fragile" test_resilience_ring_fragile;
-          tc "hardening helps" test_resilience_hardening_helps;
-          tc "drop_link" test_resilience_drop_link;
-        ] );
-      ( "load_latency",
-        [
-          tc "rejects cyclic designs" test_load_latency_rejects_cyclic;
-          tc "monotone load" test_load_latency_monotone_load;
-          tc "light load light latency" test_load_latency_low_load_is_light;
-        ] );
       ("sim_check", [ tc "ring demo" test_sim_check_ring_demo ]);
       ("bench_report", [ tc "json" test_bench_report_json ]);
     ]

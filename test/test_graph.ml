@@ -409,50 +409,6 @@ let test_yen_k_invalid () =
       ignore (K_shortest.yen g ~weight:unit_weight ~k:0 0 1))
 
 (* ------------------------------------------------------------------ *)
-(* Max flow                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_max_flow_simple () =
-  (* Two disjoint unit paths 0->3: flow 2. *)
-  let g = Digraph.of_edges [ (0, 1); (1, 3); (0, 2); (2, 3) ] in
-  check (Alcotest.float 1e-9) "two paths" 2.
-    (Max_flow.max_flow g ~capacity:(fun _ _ -> 1.) ~source:0 ~sink:3)
-
-let test_max_flow_bottleneck () =
-  (* 0 -> 1 -> 2 with capacities 5 then 2: bottleneck 2. *)
-  let g = Digraph.of_edges [ (0, 1); (1, 2) ] in
-  let capacity u _ = if u = 0 then 5. else 2. in
-  check (Alcotest.float 1e-9) "bottleneck" 2.
-    (Max_flow.max_flow g ~capacity ~source:0 ~sink:2)
-
-let test_max_flow_disconnected () =
-  let g = Digraph.of_edges [ (0, 1) ] in
-  Digraph.ensure_vertex g 2;
-  check (Alcotest.float 1e-9) "zero" 0.
-    (Max_flow.max_flow g ~capacity:(fun _ _ -> 1.) ~source:0 ~sink:2)
-
-let test_max_flow_validation () =
-  let g = Digraph.of_edges [ (0, 1) ] in
-  Alcotest.check_raises "source=sink" (Invalid_argument "Max_flow: source = sink")
-    (fun () -> ignore (Max_flow.max_flow g ~capacity:(fun _ _ -> 1.) ~source:0 ~sink:0));
-  Alcotest.check_raises "negative" (Invalid_argument "Max_flow: negative capacity")
-    (fun () ->
-      ignore (Max_flow.max_flow g ~capacity:(fun _ _ -> -1.) ~source:0 ~sink:1))
-
-let test_min_cut_edges () =
-  (* Diamond with a weak edge 0->1 (cap 1) and strong 0->2 (cap 3),
-     both feeding 3 with cap 3; cut should include the weak edge when
-     saturated. *)
-  let g = Digraph.of_edges [ (0, 1); (1, 3); (0, 2); (2, 3) ] in
-  let capacity u v = if u = 0 && v = 1 then 1. else 3. in
-  let value, cut = Max_flow.min_cut g ~capacity ~source:0 ~sink:3 in
-  check (Alcotest.float 1e-9) "cut value" 4. value;
-  check bool_c "cut non-empty" true (cut <> []);
-  (* The cut's capacity equals the flow value. *)
-  let cut_cap = List.fold_left (fun acc (u, v) -> acc +. capacity u v) 0. cut in
-  check (Alcotest.float 1e-9) "cut capacity = flow" value cut_cap
-
-(* ------------------------------------------------------------------ *)
 (* Dot                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -653,31 +609,6 @@ let prop_yen_matches_bruteforce =
            (fun a b -> List.length a = List.length b)
            yen expected)
 
-let prop_max_flow_bounded =
-  QCheck.Test.make ~name:"max flow bounded by out-capacity of source" ~count:100
-    arbitrary_graph (fun input ->
-      let g = build input in
-      let n = Digraph.n_vertices g in
-      if n < 2 then true
-      else begin
-        let flow = Max_flow.max_flow g ~capacity:(fun _ _ -> 1.) ~source:0 ~sink:(n - 1) in
-        flow <= float_of_int (Digraph.out_degree g 0) +. 1e-9 && flow >= 0.
-      end)
-
-let prop_min_cut_equals_max_flow =
-  QCheck.Test.make ~name:"min cut capacity equals max flow" ~count:100
-    arbitrary_graph (fun input ->
-      let g = build input in
-      let n = Digraph.n_vertices g in
-      if n < 2 then true
-      else begin
-        let capacity _ _ = 1. in
-        let flow = Max_flow.max_flow g ~capacity ~source:0 ~sink:(n - 1) in
-        let value, cut = Max_flow.min_cut g ~capacity ~source:0 ~sink:(n - 1) in
-        let cut_cap = List.fold_left (fun acc (u, v) -> acc +. capacity u v) 0. cut in
-        abs_float (flow -. value) < 1e-9 && abs_float (value -. cut_cap) < 1e-9
-      end)
-
 (* The optimized smallest-cycle scan must agree with the verbatim seed
    implementation on the exact cycle returned — not just its length —
    because the removal trajectory tie-breaks on vertex ids and
@@ -733,8 +664,6 @@ let qcheck_cases =
       prop_yen_first_is_dijkstra;
       prop_yen_sorted_and_distinct;
       prop_yen_matches_bruteforce;
-      prop_max_flow_bounded;
-      prop_min_cut_equals_max_flow;
     ]
 
 let () =
@@ -816,14 +745,6 @@ let () =
           tc "unreachable" test_yen_unreachable;
           tc "loopless" test_yen_loopless;
           tc "k invalid" test_yen_k_invalid;
-        ] );
-      ( "max_flow",
-        [
-          tc "two disjoint paths" test_max_flow_simple;
-          tc "bottleneck" test_max_flow_bottleneck;
-          tc "disconnected" test_max_flow_disconnected;
-          tc "validation" test_max_flow_validation;
-          tc "min cut edges" test_min_cut_edges;
         ] );
       ( "dot",
         [

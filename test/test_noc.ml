@@ -514,37 +514,6 @@ let test_metrics_unrouted () =
   check (Alcotest.float 1e-9) "avg hops zero" 0. m.Metrics.avg_hops;
   check (Alcotest.float 1e-9) "imbalance zero" 0. m.Metrics.load_imbalance
 
-let test_metrics_critical_links () =
-  (* On the unidirectional ring every used link is a single point of
-     failure. *)
-  let ring = Fixtures.paper_ring () in
-  let critical = Metrics.critical_links ring.Fixtures.net in
-  check int_c "all four links critical" 4 (List.length critical);
-  (* Adding a parallel link de-criticalizes its twin. *)
-  let topo = Network.topology ring.Fixtures.net in
-  let _ = Topology.add_link topo ~src:(sw 0) ~dst:(sw 1) in
-  let critical' = Metrics.critical_links ring.Fixtures.net in
-  check int_c "L0 covered by its twin" 3 (List.length critical');
-  check bool_c "L0 no longer critical" false
-    (List.exists (Ids.Link.equal (Fixtures.lk 0)) critical')
-
-let test_metrics_critical_links_mesh () =
-  (* The bidirectional 2x2 mesh has disjoint backups for every pair. *)
-  let net = Fixtures.xy_mesh_2x2 () in
-  check int_c "no single points of failure" 0
-    (List.length (Metrics.critical_links net))
-
-let test_metrics_cut_bandwidth () =
-  let ring = Fixtures.paper_ring () in
-  (* On a unidirectional 4-ring, any src->dst cut is a single link. *)
-  check (Alcotest.float 1e-9) "ring cut" 1.
-    (Metrics.flow_cut_bandwidth ring.Fixtures.net ~src:(sw 0) ~dst:(sw 2));
-  (* Add a parallel link 0->1: cut towards 1 doubles. *)
-  let topo = Network.topology ring.Fixtures.net in
-  let _ = Topology.add_link topo ~src:(sw 0) ~dst:(sw 1) in
-  check (Alcotest.float 1e-9) "parallel doubles" 2.
-    (Metrics.flow_cut_bandwidth ring.Fixtures.net ~src:(sw 0) ~dst:(sw 1))
-
 (* ------------------------------------------------------------------ *)
 (* Bandwidth feasibility                                               *)
 (* ------------------------------------------------------------------ *)
@@ -666,71 +635,6 @@ let test_io_file_roundtrip () =
 let test_io_missing_file () =
   check bool_c "missing file is an error" true
     (Result.is_error (Io.load_file "/nonexistent/path.noc"))
-
-(* ------------------------------------------------------------------ *)
-(* Forwarding tables                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_tables_compile_ring () =
-  let ring = Fixtures.paper_ring () in
-  let t = Tables.compile ring.Fixtures.net in
-  (* Each flow contributes (hops + 1) entries: inject, forwards, eject. *)
-  let expected =
-    List.fold_left
-      (fun acc (_, r) -> acc + Route.length r + 1)
-      0
-      (Network.routes ring.Fixtures.net)
-  in
-  check int_c "entry count" expected (Tables.total_entries t)
-
-let test_tables_lookup_semantics () =
-  let ring = Fixtures.paper_ring () in
-  let t = Tables.compile ring.Fixtures.net in
-  let f1 = ring.Fixtures.flows.(0) in
-  (* F1 = {L0, L1, L2}: injected at sw0 onto L0. *)
-  (match Tables.lookup t (sw 0) ~flow:f1 ~input:None with
-  | Some (Some out) -> check bool_c "injects onto L0" true (Channel.equal out (ch 0))
-  | Some None | None -> Alcotest.fail "expected injection entry");
-  (* At sw1, input L0 forwards to L1. *)
-  (match Tables.lookup t (sw 1) ~flow:f1 ~input:(Some (ch 0)) with
-  | Some (Some out) -> check bool_c "forwards to L1" true (Channel.equal out (ch 1))
-  | Some None | None -> Alcotest.fail "expected forward entry");
-  (* At sw3, input L2 ejects. *)
-  (match Tables.lookup t (sw 3) ~flow:f1 ~input:(Some (ch 2)) with
-  | Some None -> ()
-  | Some (Some _) | None -> Alcotest.fail "expected ejection entry");
-  (* No phantom entries. *)
-  check bool_c "absent entry" true
-    (Tables.lookup t (sw 2) ~flow:f1 ~input:None = None)
-
-let test_tables_check_passes () =
-  let ring = Fixtures.paper_ring () in
-  let t = Tables.compile ring.Fixtures.net in
-  check bool_c "consistent" true (Tables.check ring.Fixtures.net t = Ok ())
-
-let test_tables_check_catches_stale () =
-  (* Compile, then change a route: the stale table must fail. *)
-  let ring = Fixtures.paper_ring () in
-  let t = Tables.compile ring.Fixtures.net in
-  ignore (Topology.add_vc (Network.topology ring.Fixtures.net) (Fixtures.lk 0));
-  Network.set_route ring.Fixtures.net ring.Fixtures.flows.(3) [ ch ~vc:1 0; ch 1 ];
-  check bool_c "stale table detected" true
-    (Result.is_error (Tables.check ring.Fixtures.net t))
-
-let test_tables_after_removal () =
-  (* End-to-end: tables recompiled after the removal pass must still
-     check out, with the duplicated channels present. *)
-  let ring = Fixtures.paper_ring () in
-  ignore (Noc_deadlock.Removal.run ring.Fixtures.net);
-  let t = Tables.compile ring.Fixtures.net in
-  check bool_c "post-removal tables consistent" true
-    (Tables.check ring.Fixtures.net t = Ok ());
-  let rendered = Format.asprintf "%a" (Tables.pp_switch t) (sw 0) in
-  check bool_c "shows the duplicate channel" true
-    (let needle = "L0'" in
-     let n = String.length needle and h = String.length rendered in
-     let rec scan i = i + n <= h && (String.sub rendered i n = needle || scan (i + 1)) in
-     scan 0)
 
 (* ------------------------------------------------------------------ *)
 (* Dot export                                                          *)
@@ -877,12 +781,6 @@ let prop_io_parser_total =
           QCheck.Test.fail_reportf "exception %s at pos %d" (Printexc.to_string e)
             pos)
 
-let prop_tables_consistent =
-  QCheck.Test.make ~name:"compiled tables always validate" ~count:80 arbitrary_net
-    (fun input ->
-      let net = build_random_net input in
-      Tables.check net (Tables.compile net) = Ok ())
-
 (* Routing against the per-flow reference in [Routing_oracle] on
    topologies synthesis never builds: parallel links (so the "smallest
    weight, then smallest link id" tie-break decides), bandwidth ties
@@ -957,7 +855,7 @@ let qcheck_cases =
     [
       prop_routing_valid; prop_cdg_edges_head_to_tail;
       prop_cdg_deps_bounded_by_route_pairs; prop_io_roundtrip;
-      prop_io_parser_total; prop_tables_consistent; prop_routing_matches_oracle;
+      prop_io_parser_total; prop_routing_matches_oracle;
     ]
 
 let () =
@@ -1045,9 +943,6 @@ let () =
         [
           tc "ring" test_metrics_ring;
           tc "unrouted" test_metrics_unrouted;
-          tc "critical links on the ring" test_metrics_critical_links;
-          tc "no critical links on the mesh" test_metrics_critical_links_mesh;
-          tc "cut bandwidth" test_metrics_cut_bandwidth;
         ] );
       ( "bandwidth",
         [
@@ -1064,14 +959,6 @@ let () =
           tc "invalid route rejected" test_io_rejects_invalid_route;
           tc "file roundtrip" test_io_file_roundtrip;
           tc "missing file" test_io_missing_file;
-        ] );
-      ( "tables",
-        [
-          tc "compile ring" test_tables_compile_ring;
-          tc "lookup semantics" test_tables_lookup_semantics;
-          tc "check passes" test_tables_check_passes;
-          tc "check catches stale tables" test_tables_check_catches_stale;
-          tc "after removal" test_tables_after_removal;
         ] );
       ( "dot_export",
         [

@@ -189,51 +189,6 @@ let test_report_ordering_costs_more_than_removal () =
     ((p_removal -. p_base) /. p_base < 0.05)
 
 (* ------------------------------------------------------------------ *)
-(* Per-flow energy                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_flow_energy_structure () =
-  let net = ring_net () in
-  let fe = Flow_energy.of_network net in
-  check int_c "all flows present" 4 (List.length fe.Flow_energy.flows);
-  List.iter
-    (fun c ->
-      check bool_c "positive energy" true (c.Flow_energy.energy_pj_per_bit > 0.);
-      check bool_c "positive power" true (c.Flow_energy.power_mw > 0.))
-    fe.Flow_energy.flows;
-  check bool_c "total = sum" true
-    (abs_float
-       (fe.Flow_energy.total_dynamic_mw
-       -. List.fold_left (fun a c -> a +. c.Flow_energy.power_mw) 0.
-            fe.Flow_energy.flows)
-    < 1e-9)
-
-let test_flow_energy_longer_costs_more () =
-  let net = ring_net () in
-  let fe = Flow_energy.of_network net in
-  let cost flow =
-    (List.find (fun c -> Ids.Flow.equal c.Flow_energy.flow flow) fe.Flow_energy.flows)
-      .Flow_energy.energy_pj_per_bit
-  in
-  let ring = Fixtures.paper_ring () in
-  ignore ring;
-  (* F0 (3 hops) must cost more per bit than F1 (2 hops). *)
-  check bool_c "3 hops > 2 hops" true
-    (cost (Fixtures.fl 0) > cost (Fixtures.fl 1))
-
-let test_flow_energy_ranking () =
-  let net = ring_net () in
-  let fe = Flow_energy.of_network net in
-  match Flow_energy.ranked fe with
-  | first :: rest ->
-      List.iter
-        (fun c ->
-          check bool_c "descending" true
-            (first.Flow_energy.power_mw >= c.Flow_energy.power_mw))
-        rest
-  | [] -> Alcotest.fail "expected flows"
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -278,12 +233,6 @@ let () =
           tc "totals consistent" test_report_totals_consistent;
           tc "monotone in VCs" test_report_monotone_in_vcs;
           tc "figure-10 relationship" test_report_ordering_costs_more_than_removal;
-        ] );
-      ( "flow_energy",
-        [
-          tc "structure" test_flow_energy_structure;
-          tc "longer routes cost more" test_flow_energy_longer_costs_more;
-          tc "ranking" test_flow_energy_ranking;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -371,36 +371,6 @@ let test_adaptive_escape_structure () =
   check bool_c "Duato-free" true v.Noc_deadlock.Duato.deadlock_free
 
 (* ------------------------------------------------------------------ *)
-(* Hardening                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_harden_ring () =
-  let ring = Fixtures.paper_ring () in
-  let net = ring.Fixtures.net in
-  check int_c "four critical links initially" 4
-    (List.length (Noc_model.Metrics.critical_links net));
-  let r = Harden.run net in
-  check int_c "four backups" 4 r.Harden.links_added;
-  check int_c "none critical afterwards" 0 r.Harden.remaining_critical;
-  (* Routes untouched; the design is still valid and its CDG status is
-     unchanged (new links carry nothing). *)
-  Fixtures.check_valid "hardened ring" net;
-  check int_c "eight links now" 8 (Topology.n_links (Network.topology net))
-
-let test_harden_idempotent () =
-  let net = Fixtures.xy_mesh_2x2 () in
-  let r = Harden.run net in
-  check int_c "robust design untouched" 0 r.Harden.links_added
-
-let test_harden_benchmark () =
-  let spec = media_spec () in
-  let traffic = spec.Noc_benchmarks.Spec.build () in
-  let net = Custom.synthesize_exn traffic ~n_switches:14 in
-  let r = Harden.run net in
-  check int_c "no critical links remain" 0 r.Harden.remaining_critical;
-  Fixtures.check_valid "hardened benchmark" net
-
-(* ------------------------------------------------------------------ *)
 (* Floorplan                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -548,12 +518,6 @@ let () =
         [
           tc "xy static" test_xy_static_properties;
           tc "adaptive with escape" test_adaptive_escape_structure;
-        ] );
-      ( "harden",
-        [
-          tc "ring" test_harden_ring;
-          tc "idempotent on robust designs" test_harden_idempotent;
-          tc "benchmark" test_harden_benchmark;
         ] );
       ( "floorplan",
         [
