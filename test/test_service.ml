@@ -379,6 +379,155 @@ let test_simulate_lint_codes () =
     (Result.is_error (Lint.vet_job (sim bad_workload)))
 
 (* ------------------------------------------------------------------ *)
+(* Admission: what Lint.vet_job answers for inline designs             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every registry design point (6 benchmarks x switches 2-26 x
+   max_degree 3-5), saved inline the way nocbench's warm-replay builds
+   it. *)
+let registry_design_texts () =
+  List.concat_map
+    (fun (spec : Noc_benchmarks.Spec.t) ->
+      List.concat_map
+        (fun n_switches ->
+          List.map
+            (fun d ->
+              let options =
+                {
+                  Noc_synth.Custom.default_options with
+                  Noc_synth.Custom.max_out_degree = d;
+                  max_in_degree = d;
+                }
+              in
+              Noc_model.Io.save
+                (Noc_synth.Custom.synthesize_exn ~options
+                   (spec.Noc_benchmarks.Spec.build ())
+                   ~n_switches))
+            [ 3; 4; 5 ])
+        (List.init 25 (fun i -> i + 2)))
+    Noc_benchmarks.Registry.all
+
+(* The integer fields of a design line that a mutation may rewrite:
+   counts, ids, endpoints, VC counts and route hops, as (token, part of
+   a link:vc hop).  Flow bandwidths are left alone. *)
+let integer_fields = function
+  | ("switches" | "cores") :: _ -> [ (1, None) ]
+  | "link" :: _ -> [ (1, None); (2, None); (3, None); (4, None) ]
+  | "core" :: _ -> [ (1, None); (2, None) ]
+  | "flow" :: _ -> [ (1, None); (2, None); (3, None) ]
+  | "route" :: _ :: hops ->
+      (1, None)
+      :: List.concat
+           (List.mapi (fun i _ -> [ (i + 2, Some 0); (i + 2, Some 1) ]) hops)
+  | _ -> []
+
+let set_field tokens (at, part) value =
+  let value = string_of_int value in
+  List.mapi
+    (fun i token ->
+      if i <> at then token
+      else
+        match part with
+        | None -> value
+        | Some k ->
+            String.concat ":"
+              (List.mapi
+                 (fun j s -> if j = k then value else s)
+                 (String.split_on_char ':' token)))
+    tokens
+
+(* One seeded mutation: drop or duplicate a line, set one integer field
+   to a value from -1 to 30, or drop every link of one switch. *)
+let mutate_design st text =
+  let lines =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
+  in
+  let tokens = List.map (String.split_on_char ' ') lines in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let mutated =
+    match Random.State.int st 4 with
+    | 0 ->
+        let at = Random.State.int st (List.length lines) in
+        List.filteri (fun i _ -> i <> at) lines
+    | 1 ->
+        let at = Random.State.int st (List.length lines) in
+        List.concat
+          (List.mapi (fun i l -> if i = at then [ l; l ] else [ l ]) lines)
+    | 2 ->
+        (* Directive first, so the few count lines are hit as often as
+           the many route lines. *)
+        let directive =
+          pick
+            (List.sort_uniq compare
+               (List.filter_map
+                  (fun t ->
+                    if integer_fields t = [] then None else Some (List.hd t))
+                  tokens))
+        in
+        let at, t =
+          pick
+            (List.filter
+               (fun (_, t) -> List.hd t = directive)
+               (List.mapi (fun i t -> (i, t)) tokens))
+        in
+        let value = Random.State.int st 32 - 1 in
+        let field = pick (integer_fields t) in
+        let t' = set_field t field value in
+        List.mapi (fun i l -> if i = at then String.concat " " t' else l) lines
+    | _ ->
+        let n_switches =
+          List.find_map
+            (function [ "switches"; n ] -> int_of_string_opt n | _ -> None)
+            tokens
+        in
+        let s = string_of_int (Random.State.int st (Option.get n_switches)) in
+        List.filter_map
+          (fun t ->
+            match t with
+            | "link" :: _ :: src :: dst :: _ when src = s || dst = s -> None
+            | _ -> Some (String.concat " " t))
+          tokens
+  in
+  String.concat "\n" mutated ^ "\n"
+
+(* One digest pins the verdict, "ok" or the full rejection message, of
+   every registry design and of 600 seeded mutations of them.  The
+   counts keep the digest from passing vacuously: a change that
+   rejected or accepted everything would also move them. *)
+let test_admission_verdicts_golden () =
+  let designs = Array.of_list (registry_design_texts ()) in
+  let st = Random.State.make [| 19 |] in
+  let mutants =
+    List.init 600 (fun _ ->
+        let design = designs.(Random.State.int st (Array.length designs)) in
+        mutate_design st design)
+  in
+  let verdict text =
+    match
+      Lint.vet_job
+        { Job.design = Job.Inline text; method_ = Job.removal_defaults }
+    with
+    | Ok () -> "ok"
+    | Error msg -> msg
+  in
+  let verdicts = List.map verdict (Array.to_list designs @ mutants) in
+  let contains needle s =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  let count p = List.length (List.filter p verdicts) in
+  check int_c "jobs" 1050 (List.length verdicts);
+  check int_c "accepted" 520 (count (String.equal "ok"));
+  check int_c "does not parse" 518
+    (count (contains "inline design does not parse"));
+  check int_c "NOC-TOPO-001" 12 (count (contains "NOC-TOPO-001"));
+  check string_c "verdicts digest" "f15a4abbc4692245475bad9a963f402e"
+    (Digest.to_hex (Digest.string (String.concat "\n" verdicts)))
+
+(* ------------------------------------------------------------------ *)
 (* Outcome                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1388,6 +1537,11 @@ let () =
             test_simulate_lint_codes;
           Alcotest.test_case "simulate huge buffer depth" `Quick
             test_simulate_huge_buffer_depth;
+        ] );
+      ( "admission",
+        [
+          Alcotest.test_case "golden verdicts" `Quick
+            test_admission_verdicts_golden;
         ] );
       ( "outcome",
         [
