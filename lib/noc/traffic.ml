@@ -29,6 +29,8 @@ let add_flow t ~src ~dst ~bandwidth =
   check_core t dst "add_flow";
   if Ids.Core.equal src dst then invalid_arg "Traffic.add_flow: self-flow";
   if bandwidth <= 0. then invalid_arg "Traffic.add_flow: non-positive bandwidth";
+  if not (Float.is_finite bandwidth) then
+    invalid_arg "Traffic.add_flow: non-finite bandwidth";
   let id = Ids.Flow.of_int t.n_flows in
   let f = { id; src; dst; bandwidth } in
   t.flows_rev <- f :: t.flows_rev;

@@ -22,7 +22,8 @@ val add_flow : t -> src:Ids.Core.t -> dst:Ids.Core.t -> bandwidth:float -> Ids.F
 (** Adds a directed flow.  Self-flows are rejected; duplicate pairs
     are permitted (they model independent traffic classes).
     @raise Invalid_argument on a self-flow, an unknown core, or a
-    non-positive bandwidth. *)
+    bandwidth that is not a positive finite number ([nan] and [inf]
+    included). *)
 
 val flow : t -> Ids.Flow.t -> flow
 (** @raise Invalid_argument on an unknown flow id. *)

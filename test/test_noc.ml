@@ -621,6 +621,27 @@ let test_io_rejects_invalid_route () =
   in
   check bool_c "bad vc rejected" true (Result.is_error (Io.load text))
 
+(* [nan] and [inf] parse as floats but are no bandwidth: admitted, a
+   design carrying one produced a NaN power the JSON codec cannot
+   carry. *)
+let test_io_rejects_non_finite_bandwidth () =
+  List.iter
+    (fun bw ->
+      let text =
+        "noc-design 1\nswitches 2\ncores 2\nlink 0 0 1 1\ncore 0 0\n\
+         core 1 1\nflow 0 0 1 " ^ bw ^ "\nroute 0 0:0\n"
+      in
+      match Io.load text with
+      | Ok _ -> Alcotest.failf "bandwidth %s accepted" bw
+      | Error e ->
+          check Alcotest.string bw "Traffic.add_flow: non-finite bandwidth" e)
+    [ "nan"; "inf"; "+inf" ];
+  check bool_c "finite bandwidth still loads" true
+    (Result.is_ok
+       (Io.load
+          "noc-design 1\nswitches 2\ncores 2\nlink 0 0 1 1\ncore 0 0\n\
+           core 1 1\nflow 0 0 1 10\nroute 0 0:0\n"))
+
 let test_io_file_roundtrip () =
   let ring = Fixtures.paper_ring () in
   let path = Filename.temp_file "noc_io_test" ".noc" in
@@ -957,6 +978,8 @@ let () =
           tc "comments and blanks" test_io_comments_and_blanks;
           tc "error messages" test_io_error_messages;
           tc "invalid route rejected" test_io_rejects_invalid_route;
+          tc "non-finite bandwidth rejected"
+            test_io_rejects_non_finite_bandwidth;
           tc "file roundtrip" test_io_file_roundtrip;
           tc "missing file" test_io_missing_file;
         ] );

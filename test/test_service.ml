@@ -527,6 +527,27 @@ let test_admission_verdicts_golden () =
   check string_c "verdicts digest" "f15a4abbc4692245475bad9a963f402e"
     (Digest.to_hex (Digest.string (String.concat "\n" verdicts)))
 
+(* A flow bandwidth of nan or inf parses as a float; admitted, the job
+   ran and its NaN power broke the client's JSON decoder. *)
+let test_admission_rejects_non_finite_bandwidth () =
+  List.iter
+    (fun bw ->
+      let text =
+        "noc-design 1\nswitches 2\ncores 2\nlink 0 0 1 1\ncore 0 0\n\
+         core 1 1\nflow 0 0 1 " ^ bw ^ "\nroute 0 0:0\n"
+      in
+      match
+        Lint.vet_job
+          { Job.design = Job.Inline text; method_ = Job.removal_defaults }
+      with
+      | Ok () -> Alcotest.failf "bandwidth %s admitted" bw
+      | Error msg ->
+          check string_c bw
+            "rejected by lint: NOC-JOB-002 inline design does not parse: \
+             Traffic.add_flow: non-finite bandwidth"
+            msg)
+    [ "nan"; "inf" ]
+
 (* ------------------------------------------------------------------ *)
 (* Outcome                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1542,6 +1563,8 @@ let () =
         [
           Alcotest.test_case "golden verdicts" `Quick
             test_admission_verdicts_golden;
+          Alcotest.test_case "non-finite bandwidth rejected" `Quick
+            test_admission_rejects_non_finite_bandwidth;
         ] );
       ( "outcome",
         [
