@@ -616,7 +616,7 @@ let lint_cmd =
             (fun (_, net) ->
               Noc_analysis.Engine.analyze ~passes
                 ~label:(Printf.sprintf "%s@%d" spec.Noc_benchmarks.Spec.name n)
-                (Noc_analysis.Pass.Design net))
+                (Noc_analysis.Pass.Design (Noc_analysis.Facts.of_network net)))
             (synthesize spec.Noc_benchmarks.Spec.name n degree)
         in
         let specs = Noc_benchmarks.Registry.all in
@@ -635,7 +635,7 @@ let lint_cmd =
             ignore spec;
             [
               ( Printf.sprintf "%s@%d" name n_switches,
-                Noc_analysis.Pass.Design net );
+                Noc_analysis.Pass.Design (Noc_analysis.Facts.of_network net) );
             ]
           else
             List.map
@@ -648,7 +648,10 @@ let lint_cmd =
                 in
                 if is_design_text text then
                   match Io.load text with
-                  | Ok net -> (path, Noc_analysis.Pass.Design net)
+                  | Ok net ->
+                      ( path,
+                        Noc_analysis.Pass.Design
+                          (Noc_analysis.Facts.of_network net) )
                   | Error e ->
                       or_die (Error (Printf.sprintf "%s: %s" path e))
                 else if is_trace_text text then

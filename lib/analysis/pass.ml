@@ -1,7 +1,7 @@
 open Noc_model
 
 type target =
-  | Design of Network.t
+  | Design of Facts.t
   | Job_file of { path : string; text : string }
   | Trace_file of { path : string; text : string }
 

@@ -8,7 +8,9 @@
 open Noc_model
 
 type target =
-  | Design of Network.t  (** A complete NoC design. *)
+  | Design of Facts.t
+      (** A complete NoC design, with the facts its passes share (see
+          {!Facts}).  Build one per design with {!Facts.of_network}. *)
   | Job_file of { path : string; text : string }
       (** A noc-jobs/1 batch file, as raw text plus its display path. *)
   | Trace_file of { path : string; text : string }
@@ -26,7 +28,9 @@ type t = {
   severity_floor : Diag_code.severity;
       (** The most severe diagnostic this pass can emit.  An engine
           that only needs an exit code may skip passes whose floor is
-          below the failure threshold. *)
+          below the failure threshold; job admission
+          ([Noc_service.Lint.vet_job]) runs only the [Error]-floor
+          passes. *)
   doc : string;  (** One-line description for catalogs and [--help]. *)
   run : target -> Diagnostic.t list;
       (** Must return [[]] on targets outside the pass's scope. *)

@@ -1,19 +1,20 @@
 (* The nine design-level passes.  Each is deliberately small: it maps
    one existing analysis (Validate, Cdg/Verify, Duato, Bandwidth) into
    structured diagnostics with stable codes, so the linter never owns
-   algorithmic logic of its own — it owns the reporting contract. *)
+   algorithmic logic of its own — it owns the reporting contract.  The
+   analyses several passes share are read from the design's Facts. *)
 
 open Noc_model
 
 let design_only run = function
-  | Pass.Design net -> run net
+  | Pass.Design facts -> run facts
   | Pass.Job_file _ | Pass.Trace_file _ -> []
 
 (* Passes that interpret routes (CDG construction, escape coverage,
    bandwidth accounting) are only meaningful — and only safe — on
    designs whose routes are structurally well-formed; broken routes are
    the routes pass's finding, not theirs. *)
-let when_routes_valid f net = if Validate.check net = [] then f net else []
+let when_routes_valid f facts = if Facts.routes_valid facts then f facts else []
 
 (* 1. routes ------------------------------------------------------- *)
 
@@ -30,7 +31,7 @@ let routes =
     severity_floor = Diag_code.Error;
     doc = "every flow's route exists and follows the physical topology";
     run =
-      design_only (fun net ->
+      design_only (fun facts ->
           List.map
             (fun (i : Validate.issue) ->
               let location =
@@ -40,7 +41,7 @@ let routes =
               in
               Diagnostic.v ?fix:(fix_of_code i.Validate.code) i.Validate.code
                 location i.Validate.message)
-            (Validate.check net));
+            (Facts.issues facts));
   }
 
 (* 2. connectivity ------------------------------------------------- *)
@@ -53,8 +54,8 @@ let connectivity =
     severity_floor = Diag_code.Error;
     doc = "the topology is connected and no switch is isolated";
     run =
-      design_only (fun net ->
-          let topo = Network.topology net in
+      design_only (fun facts ->
+          let topo = Network.topology (Facts.network facts) in
           let isolated =
             List.filter_map
               (fun s ->
@@ -95,7 +96,8 @@ let dead_channels =
     severity_floor = Diag_code.Warning;
     doc = "every physical link carries at least one routed flow";
     run =
-      design_only (fun net ->
+      design_only (fun facts ->
+          let net = Facts.network facts in
           let topo = Network.topology net in
           let used = used_channels net in
           List.filter_map
@@ -130,7 +132,8 @@ let dead_vcs =
     severity_floor = Diag_code.Warning;
     doc = "every allocated VC of a live link is used by some route";
     run =
-      design_only (fun net ->
+      design_only (fun facts ->
+          let net = Facts.network facts in
           let topo = Network.topology net in
           let used = used_channels net in
           List.concat_map
@@ -179,9 +182,8 @@ let cdg_cycle =
     doc = "the channel dependency graph is acyclic (deadlock freedom)";
     run =
       design_only
-        (when_routes_valid (fun net ->
-             let cert = Noc_deadlock.Verify.certify net in
-             match cert.Noc_deadlock.Verify.sample_cycle with
+        (when_routes_valid (fun facts ->
+             match (Facts.certificate facts).Noc_deadlock.Verify.sample_cycle with
              | None -> []
              | Some cycle ->
                  [
@@ -216,10 +218,11 @@ let certificate =
       "an acyclic verdict's numbering witness passes the independent recheck";
     run =
       design_only
-        (when_routes_valid (fun net ->
-             match (Noc_deadlock.Verify.certify net).Noc_deadlock.Verify.numbering with
+        (when_routes_valid (fun facts ->
+             match (Facts.certificate facts).Noc_deadlock.Verify.numbering with
              | None -> []
-             | Some numbering -> recheck_numbering net numbering));
+             | Some numbering ->
+                 recheck_numbering (Facts.network facts) numbering));
   }
 
 (* 7. independent deadlock-freedom prover -------------------------- *)
@@ -289,9 +292,10 @@ let deadlock_freedom =
       "the independent escape-elimination prover agrees with Verify.certify";
     run =
       design_only
-        (when_routes_valid (fun net ->
-             let v = Deadlock_freedom.analyze net in
-             let cert = Noc_deadlock.Verify.certify net in
+        (when_routes_valid (fun facts ->
+             let net = Facts.network facts in
+             let v = Facts.verdict facts in
+             let cert = Facts.certificate facts in
              let cross =
                cross_check_findings
                  ~certified_acyclic:cert.Noc_deadlock.Verify.acyclic v
@@ -348,7 +352,8 @@ let escape =
       "the VC0 escape set satisfies Duato's condition for the static routes";
     run =
       design_only
-        (when_routes_valid (fun net ->
+        (when_routes_valid (fun facts ->
+             let net = Facts.network facts in
              let rf = Routing_function.of_static_routes net in
              let verdict =
                Noc_deadlock.Duato.check net rf ~escape:(fun c ->
@@ -402,8 +407,10 @@ let bandwidth ~capacity_mbps =
         capacity_mbps;
     run =
       design_only
-        (when_routes_valid (fun net ->
-             let report = Bandwidth.analyze ~capacity_mbps net in
+        (when_routes_valid (fun facts ->
+             let report =
+               Bandwidth.analyze ~capacity_mbps (Facts.network facts)
+             in
              List.filter_map
                (fun (u : Bandwidth.link_usage) ->
                  if u.Bandwidth.utilization > 1.0 then

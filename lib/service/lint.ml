@@ -10,6 +10,14 @@ module Diagnostic = Noc_analysis.Diagnostic
 module Pass = Noc_analysis.Pass
 module Engine = Noc_analysis.Engine
 
+(* Only a pass whose floor is Error can put an error-level finding in
+   the message, so the others (floor Warning) cannot change a verdict
+   and are not run. *)
+let error_floor_passes =
+  List.filter
+    (fun (p : Pass.t) -> p.Pass.severity_floor = Diag_code.Error)
+    (Noc_analysis.Registry.design_passes ())
+
 (* Error-level design findings, one compact line each, for embedding
    into a job-level message. *)
 let inline_design_errors text =
@@ -17,9 +25,8 @@ let inline_design_errors text =
   | Error e -> Error (Printf.sprintf "inline design does not parse: %s" e)
   | Ok net ->
       let report =
-        Engine.analyze
-          ~passes:(Noc_analysis.Registry.design_passes ())
-          ~label:"inline" (Pass.Design net)
+        Engine.analyze ~passes:error_floor_passes ~label:"inline"
+          (Pass.Design (Noc_analysis.Facts.of_network net))
       in
       let errors =
         List.filter
@@ -122,9 +129,14 @@ let rec job_diagnostics ~location (job : Job.t) =
   @ simulate_diagnostics ~location job
   @ hash_stability ~location ~encoded:(Job.to_json job) job
 
+(* The hash is a function of the job's value, so a decoded job equal
+   to the original hashes the same and neither is hashed.  [Job.t]
+   holds no closures; a NaN field makes [=] false and falls through to
+   the hashes. *)
 and hash_stability ~location ~encoded (job : Job.t) =
   match Job.of_json encoded with
-  | Ok job' when String.equal (Job.hash job) (Job.hash job') -> []
+  | Ok job' when job' = job || String.equal (Job.hash job) (Job.hash job') ->
+      []
   | Ok _ ->
       [
         Diagnostic.v Diag_code.job_hash_unstable location

@@ -14,10 +14,18 @@ val jobs_pass : Noc_analysis.Pass.t
     round-trip ([NOC-JOB-005]). *)
 
 val vet_job : Job.t -> (unit, string) result
-(** The batch gate: [Error] iff the job has any error-level static
-    finding (unknown benchmark, impossible switch count, unparsable or
-    error-level-lint-failing inline design, unstable hash).  The
-    message lists every finding with its code. *)
+(** The admission gate of [serve], [batch] and [campaign]: [Error] iff
+    the job has any error-level static finding (unknown benchmark,
+    impossible switch count, unparsable or error-level-lint-failing
+    inline design, unstable hash).  The message lists every finding
+    with its code.
+
+    An inline design is parsed once and analysed through one
+    {!Noc_analysis.Facts} context by the design passes whose
+    [severity_floor] is [Error] ([routes], [connectivity],
+    [certificate], [deadlock-freedom]).  The other five can emit
+    nothing above a warning, so they cannot change the verdict and are
+    not run; [noc_tool lint] still runs all nine. *)
 
 val job_diagnostics :
   location:Noc_analysis.Diagnostic.location ->
@@ -34,7 +42,8 @@ val hash_stability :
 (** The [NOC-JOB-005] recheck at the heart of {!job_diagnostics},
     exposed so a tampered encoding can be exercised directly (a
     well-formed job's own {!Job.to_json} round-trips by
-    construction). *)
+    construction).  A decoded job structurally equal to [job] is stable
+    without hashing either; otherwise the two hashes are compared. *)
 
 val all_passes : ?capacity_mbps:float -> unit -> Noc_analysis.Pass.t list
 (** The complete pass list for [noc_tool lint]: the design registry,

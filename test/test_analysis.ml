@@ -17,7 +17,8 @@ let core = Fixtures.core
 let lk = Fixtures.lk
 let ch = Fixtures.ch
 
-let run_pass (pass : Pass.t) net = pass.Pass.run (Pass.Design net)
+let run_pass (pass : Pass.t) net =
+  pass.Pass.run (Pass.Design (Facts.of_network net))
 let codes ds = List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code.Diag_code.code) ds
 let has_code c ds = List.mem c (codes ds)
 
@@ -434,7 +435,7 @@ let test_engine_on_ring () =
     Engine.analyze
       ~passes:(Registry.design_passes ())
       ~label:"paper-ring"
-      (Pass.Design ring.Fixtures.net)
+      (Pass.Design (Facts.of_network ring.Fixtures.net))
   in
   check int_c "all nine passes ran" 9 (List.length report.Engine.passes_run);
   check bool_c "pass names match the registry" true
@@ -470,7 +471,7 @@ let test_engine_clean_on_mesh () =
     Engine.analyze
       ~passes:(Registry.design_passes ())
       ~label:"xy-mesh"
-      (Pass.Design (Fixtures.xy_mesh_2x2 ()))
+      (Pass.Design (Facts.of_network (Fixtures.xy_mesh_2x2 ())))
   in
   check int_c "xy mesh lints clean" 0 (List.length report.Engine.diagnostics);
   check bool_c "worst is none" true (Engine.worst report = None)
@@ -480,7 +481,7 @@ let ring_report () =
   Engine.analyze
     ~passes:(Registry.design_passes ())
     ~label:"paper-ring"
-    (Pass.Design ring.Fixtures.net)
+    (Pass.Design (Facts.of_network ring.Fixtures.net))
 
 let test_render_json () =
   let open Noc_json in
