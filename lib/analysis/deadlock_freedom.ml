@@ -177,10 +177,16 @@ let check_escape_order net order =
    own channels to duplication before the relation can become acyclic,
    and disjoint cycles need distinct duplications, so the packing size
    bounds vcs_added from below.  Shortest-cycle-first keeps the packing
-   large and the witness readable. *)
-let shortest_cycle_through arena alive start =
-  let n = Array.length arena.channels in
-  let dist = Array.make n (-1) and parent = Array.make n (-1) in
+   large and the witness readable.
+
+   A design may declare far more channels than its routes use, so the
+   cost must follow the waits, not the arena: a search starts only at a
+   channel that both waits and is waited on (no other channel lies on a
+   cycle), and the search arrays are allocated once and reset only
+   where a search went.  [dist] is -1 outside a search; [parent] is
+   read only where [dist] is set. *)
+let shortest_cycle_through arena alive ~dist ~parent start =
+  let visited = ref [ start ] in
   dist.(start) <- 0;
   let queue = Queue.create () in
   Queue.add start queue;
@@ -191,6 +197,7 @@ let shortest_cycle_through arena alive start =
         if alive.(u) && dist.(u) < 0 then begin
           dist.(u) <- dist.(v) + 1;
           parent.(u) <- v;
+          visited := u :: !visited;
           Queue.add u queue
         end)
       arena.succs.(v)
@@ -206,31 +213,42 @@ let shortest_cycle_through arena alive start =
           | _ -> Some p)
       None arena.preds.(start)
   in
-  match closer with
-  | None -> None
-  | Some p ->
-      let rec unwind v acc =
-        if v = start then start :: acc else unwind parent.(v) (v :: acc)
-      in
-      Some (unwind p [])
+  let cycle =
+    match closer with
+    | None -> None
+    | Some p ->
+        let rec unwind v acc =
+          if v = start then start :: acc else unwind parent.(v) (v :: acc)
+        in
+        Some (unwind p [])
+  in
+  List.iter (fun v -> dist.(v) <- -1) !visited;
+  cycle
 
 let vc_lower_bound net =
   let arena = build_arena net in
   let n = Array.length arena.channels in
   let alive = Array.make n true in
+  let dist = Array.make n (-1) and parent = Array.make n (-1) in
+  let starts = ref [] in
+  for v = n - 1 downto 0 do
+    if arena.succs.(v) <> [] && arena.preds.(v) <> [] then
+      starts := v :: !starts
+  done;
   let cycles = ref [] in
   let continue_ = ref true in
   while !continue_ do
     let best = ref None in
-    for v = 0 to n - 1 do
-      if alive.(v) then
-        match shortest_cycle_through arena alive v with
-        | None -> ()
-        | Some cycle -> (
-            match !best with
-            | Some b when List.length b <= List.length cycle -> ()
-            | _ -> best := Some cycle)
-    done;
+    List.iter
+      (fun v ->
+        if alive.(v) then
+          match shortest_cycle_through arena alive ~dist ~parent v with
+          | None -> ()
+          | Some cycle -> (
+              match !best with
+              | Some b when List.length b <= List.length cycle -> ()
+              | _ -> best := Some cycle))
+      !starts;
     match !best with
     | None -> continue_ := false
     | Some cycle ->

@@ -402,6 +402,48 @@ let test_dlf_registry_agreement () =
         (DF.analyze net).DF.deadlock_free)
     Noc_benchmarks.Registry.names
 
+(* The VC lower bound against the reference formulation in
+   [Lower_bound_oracle]: equal bounds and equal packed cycles, in
+   order. *)
+let bounds_match net =
+  let b = DF.vc_lower_bound net
+  and o = Lower_bound_oracle.vc_lower_bound net in
+  b.DF.lower_bound = o.DF.lower_bound
+  && List.equal (List.equal Channel.equal) b.DF.disjoint_cycles
+       o.DF.disjoint_cycles
+
+let test_dlf_bound_matches_oracle_on_registry () =
+  (* Every registry design point, as the cold-mix registry jobs
+     synthesize it (switches 2-26 x max_degree 3-5). *)
+  let positive = ref 0 in
+  List.iter
+    (fun (spec : Noc_benchmarks.Spec.t) ->
+      List.iter
+        (fun n_switches ->
+          List.iter
+            (fun d ->
+              let options =
+                {
+                  Noc_synth.Custom.default_options with
+                  Noc_synth.Custom.max_out_degree = d;
+                  max_in_degree = d;
+                }
+              in
+              let net =
+                Noc_synth.Custom.synthesize_exn ~options
+                  (spec.Noc_benchmarks.Spec.build ())
+                  ~n_switches
+              in
+              if (DF.vc_lower_bound net).DF.lower_bound > 0 then incr positive;
+              check bool_c
+                (Printf.sprintf "%s@%d/%d" spec.Noc_benchmarks.Spec.name
+                   n_switches d)
+                true (bounds_match net))
+            [ 3; 4; 5 ])
+        (List.init 25 (fun i -> i + 2)))
+    Noc_benchmarks.Registry.all;
+  check int_c "designs with a positive bound" 135 !positive
+
 let test_dlf_sim_triangle () =
   (* The third leg of the cross-check triangle: the dynamic simulator.
      On the paper ring the prover predicts a deadlock and the simulator
@@ -697,6 +739,39 @@ let test_registry_jobs_clean () =
       | Error msg -> Alcotest.failf "%s rejected: %s" name msg)
     Noc_benchmarks.Registry.names
 
+(* A design may declare far more VCs than its routes use.  With
+   100,000 VCs on one link, the bound once searched from every channel
+   and vetting ran for minutes; the daemon reads no other client while
+   it vets. *)
+let test_vet_many_declared_vcs () =
+  let spec = Option.get (Noc_benchmarks.Registry.find "D36_8") in
+  let net =
+    Noc_synth.Custom.synthesize_exn (spec.Noc_benchmarks.Spec.build ())
+      ~n_switches:8
+  in
+  check bool_c "cyclic, so the bound is computed" false
+    (DF.analyze net).DF.deadlock_free;
+  let text =
+    String.concat "\n"
+      (List.map
+         (fun line ->
+           match String.split_on_char ' ' line with
+           | [ "link"; "0"; src; dst; _ ] ->
+               String.concat " " [ "link"; "0"; src; dst; "100000" ]
+           | _ -> line)
+         (String.split_on_char '\n' (Io.save net)))
+  in
+  let t0 = Unix.gettimeofday () in
+  let verdict =
+    Lint.vet_job { Job.design = Job.Inline text; method_ = Job.removal_defaults }
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  (match verdict with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "rejected: %s" msg);
+  check bool_c (Printf.sprintf "vets within 10 s (took %.2f s)" elapsed) true
+    (elapsed < 10.)
+
 (* ------------------------------------------------------------------ *)
 (* Properties (satellite 2)                                            *)
 (* ------------------------------------------------------------------ *)
@@ -846,6 +921,19 @@ let prop_removal_meets_lower_bound =
       && (DF.analyze net).DF.deadlock_free
       && run_pass Passes.deadlock_freedom net = [])
 
+let prop_lower_bound_matches_oracle =
+  (* On the random nets as routed, and again once every link declares
+     one more VC that no route uses. *)
+  QCheck.Test.make ~name:"VC lower bound matches the reference formulation"
+    ~count:200 arbitrary_net (fun input ->
+      let net = build_net input in
+      let as_routed = bounds_match net in
+      let topo = Network.topology net in
+      List.iter
+        (fun (l : Topology.link) -> ignore (Topology.add_vc topo l.Topology.id))
+        (Topology.links topo);
+      as_routed && bounds_match net)
+
 (* Synthetic regular topologies (ring / mesh / torus) with random flow
    sets, plus a validity-preserving route mutation: lift one route's
    first hop onto a freshly added VC. *)
@@ -923,6 +1011,7 @@ let qcheck_cases =
       prop_clean_designs_vet;
       prop_prover_agrees_with_certify;
       prop_removal_meets_lower_bound;
+      prop_lower_bound_matches_oracle;
       prop_prover_agrees_on_regular_topologies;
     ]
 
@@ -953,6 +1042,8 @@ let () =
           tc "pass codes" `Quick test_dlf_pass_codes;
           tc "vc lower bound" `Quick test_dlf_vc_bound;
           tc "registry agreement" `Quick test_dlf_registry_agreement;
+          tc "registry bounds match the reference" `Quick
+            test_dlf_bound_matches_oracle_on_registry;
           tc "prover/simulator triangle" `Quick test_dlf_sim_triangle;
         ] );
       ( "engine",
@@ -972,6 +1063,7 @@ let () =
           tc "hash stability recheck" `Quick test_job_hash_unstable;
           tc "batch gate" `Quick test_vet_job;
           tc "registry jobs vet clean" `Quick test_registry_jobs_clean;
+          tc "many declared VCs vet in time" `Quick test_vet_many_declared_vcs;
         ] );
       ("properties", qcheck_cases);
     ]
