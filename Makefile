@@ -60,11 +60,13 @@ trace: build
 
 # The daemon smoke test, mirroring the serve-smoke + store-persistence
 # CI jobs in miniature: start `noc serve` with a store, submit the full
-# registry cold then warm across a restart, require a clean SIGTERM
-# drain and a 100% warm-hit second pass.  Then the crash path: a cold
-# pass on a second store, `kill -9` (no drain, so no index flush), and
-# a restart that must still serve all 12 warm from that store.  Uses
-# the built binary directly so the daemon holds no dune lock.
+# registry cold, then five inline designs (two accepted, three rejected
+# by admission, exit 2), then the registry warm across a restart;
+# require a clean SIGTERM drain and a 100% warm-hit second pass.  Then
+# the crash path: a cold pass on a second store, `kill -9` (no drain,
+# so no index flush), and a restart that must still serve all 12 warm
+# from that store.  Uses the built binary directly so the daemon holds
+# no dune lock.
 serve-smoke: build
 	@set -e; \
 	dir="$$(mktemp -d)"; \
@@ -77,6 +79,13 @@ serve-smoke: build
 	[ -S "$$sock" ]; \
 	"$$noc" submit test/cli/registry_jobs.json --socket "$$sock" \
 	  | grep -q '12 ok, 0 failed, 0 rejected, 0 overloaded, 0 warm hits'; \
+	rc=0; "$$noc" submit test/cli/inline_jobs.json --socket "$$sock" \
+	  > "$$dir/inline.txt" || rc=$$?; \
+	[ "$$rc" -eq 2 ] \
+	  || { echo "serve-smoke: inline jobs exit $$rc, want 2"; \
+	       cat "$$dir/inline.txt"; exit 1; }; \
+	grep -q '5 jobs: 2 ok, 0 failed, 3 rejected, 0 overloaded, 0 warm hits' \
+	  "$$dir/inline.txt"; \
 	kill -TERM "$$server"; wait "$$server"; \
 	"$$noc" serve --socket "$$sock" --store "$$dir/store" -j 2 & \
 	server=$$!; \
@@ -99,7 +108,7 @@ serve-smoke: build
 	  | grep -q '12 ok, 0 failed, 0 rejected, 0 overloaded, 12 warm hits'; \
 	"$$noc" serve-stats --socket "$$sock" | grep -q '^store_hits 12$$'; \
 	kill -TERM "$$server"; wait "$$server"; \
-	echo "serve-smoke: OK (cold run, clean drain, 100% warm restart, 100% warm after kill -9)"
+	echo "serve-smoke: OK (cold run, inline admission, clean drain, 100% warm restart, 100% warm after kill -9)"
 
 # The live-telemetry smoke test, mirroring the metrics-smoke CI job in
 # miniature: boot the daemon with a Prometheus listener, do some work
