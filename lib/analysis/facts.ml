@@ -17,6 +17,5 @@ let of_network net =
 
 let network t = t.net
 let issues t = Lazy.force t.issues
-let routes_valid t = issues t = []
 let certificate t = Lazy.force t.certificate
 let verdict t = Lazy.force t.verdict

@@ -27,11 +27,9 @@ val of_network : Network.t -> t
 val network : t -> Network.t
 
 val issues : t -> Validate.issue list
-(** {!Noc_model.Validate.check} of the network. *)
-
-val routes_valid : t -> bool
-(** [issues t = []]: every route is structurally well formed, so the
-    passes that interpret routes may run. *)
+(** {!Noc_model.Validate.check} of the network: [[]] when every route
+    is structurally well formed, so the passes that interpret routes
+    may run. *)
 
 val certificate : t -> Noc_deadlock.Verify.certificate
 (** {!Noc_deadlock.Verify.certify} of the network. *)

@@ -14,7 +14,7 @@ let design_only run = function
    bandwidth accounting) are only meaningful — and only safe — on
    designs whose routes are structurally well-formed; broken routes are
    the routes pass's finding, not theirs. *)
-let when_routes_valid f facts = if Facts.routes_valid facts then f facts else []
+let when_routes_valid f facts = if Facts.issues facts = [] then f facts else []
 
 (* 1. routes ------------------------------------------------------- *)
 
@@ -183,7 +183,8 @@ let cdg_cycle =
     run =
       design_only
         (when_routes_valid (fun facts ->
-             match (Facts.certificate facts).Noc_deadlock.Verify.sample_cycle with
+             let cert = Facts.certificate facts in
+             match cert.Noc_deadlock.Verify.sample_cycle with
              | None -> []
              | Some cycle ->
                  [
