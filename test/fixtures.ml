@@ -84,3 +84,28 @@ let check_valid name net =
       Alcotest.failf "%s: invalid network: %a" name
         (Format.pp_print_list Validate.pp_issue)
         issues
+
+(* Every registry design point (6 benchmarks x switches 2-26 x
+   max_degree 3-5), saved inline the way nocbench's warm-replay builds
+   it. *)
+let registry_design_texts () =
+  List.concat_map
+    (fun (spec : Noc_benchmarks.Spec.t) ->
+      List.concat_map
+        (fun n_switches ->
+          List.map
+            (fun d ->
+              let options =
+                {
+                  Noc_synth.Custom.default_options with
+                  Noc_synth.Custom.max_out_degree = d;
+                  max_in_degree = d;
+                }
+              in
+              Io.save
+                (Noc_synth.Custom.synthesize_exn ~options
+                   (spec.Noc_benchmarks.Spec.build ())
+                   ~n_switches))
+            [ 3; 4; 5 ])
+        (List.init 25 (fun i -> i + 2)))
+    Noc_benchmarks.Registry.all

@@ -802,6 +802,92 @@ let prop_io_parser_total =
           QCheck.Test.fail_reportf "exception %s at pos %d" (Printexc.to_string e)
             pos)
 
+(* The parser against the reference in [Io_oracle], on every registry
+   design saved inline and on seeded mutations of them.  Both must
+   answer alike: the same [Io.save] text for a design, the same message
+   for an error. *)
+let registry_texts = lazy (Array.of_list (Fixtures.registry_design_texts ()))
+
+let hostile_tokens =
+  [| "-1"; "30"; "x"; "1:0"; "0:-1"; "::"; "3:"; "1:2:3"; "1e3"; "nan";
+     "0x10"; "+3"; "1_0"; "99999999999999999999" |]
+
+(* One mutation of one line: drop or duplicate it, replace one field
+   (or one side of a link:vc hop) with a hostile token, turn spaces
+   into tabs or runs of spaces, pad it with leading spaces and a
+   trailing carriage return, truncate it, or repeat a route's hops
+   until the line is longer than eight fields. *)
+let mutate_io_line st lines =
+  let n = Array.length lines in
+  let at = Random.State.int st n in
+  let line = lines.(at) in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let replacement =
+    match Random.State.int st 7 with
+    | 0 -> []
+    | 1 -> [ line; line ]
+    | 2 ->
+        let fields = Array.of_list (String.split_on_char ' ' line) in
+        let k = Random.State.int st (Array.length fields) in
+        let token = pick hostile_tokens in
+        fields.(k) <-
+          (match String.split_on_char ':' fields.(k) with
+          | [ l; v ] when Random.State.bool st ->
+              if Random.State.bool st then token ^ ":" ^ v else l ^ ":" ^ token
+          | _ -> token);
+        [ String.concat " " (Array.to_list fields) ]
+    | 3 ->
+        [
+          String.concat ""
+            (List.map
+               (fun c ->
+                 if c <> ' ' then String.make 1 c
+                 else pick [| "\t"; "  "; " \t"; " " |])
+               (List.init (String.length line) (String.get line)));
+        ]
+    | 4 -> [ String.make (1 + Random.State.int st 3) ' ' ^ line ^ "\r" ]
+    | 5 -> [ String.sub line 0 (Random.State.int st (String.length line + 1)) ]
+    | _ -> (
+        match String.split_on_char ' ' line with
+        | "route" :: id :: (_ :: _ as hops) ->
+            let rec grow acc = if List.length acc > 8 then acc else grow (acc @ hops) in
+            [ String.concat " " ("route" :: id :: grow hops) ]
+        | _ -> [ line ])
+  in
+  Array.of_list
+    (List.concat
+       (List.mapi (fun i l -> if i = at then replacement else [ l ]) (Array.to_list lines)))
+
+let mutate_io_text st text =
+  let rec go k lines =
+    if k = 0 || Array.length lines = 0 then lines else go (k - 1) (mutate_io_line st lines)
+  in
+  let lines = go (1 + Random.State.int st 3) (Array.of_list (String.split_on_char '\n' text)) in
+  String.concat "\n" (Array.to_list lines)
+
+let same_load text =
+  match (Io.load text, Io_oracle.load text) with
+  | Ok a, Ok b -> String.equal (Io.save a) (Io.save b)
+  | Error a, Error b -> String.equal a b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let test_io_matches_oracle_on_registry () =
+  Array.iter
+    (fun text ->
+      if not (same_load text) then Alcotest.failf "loads differ on:\n%s" text)
+    (Lazy.force registry_texts)
+
+let prop_io_matches_oracle =
+  let mutant (design, seed) =
+    let texts = Lazy.force registry_texts in
+    mutate_io_text (Random.State.make [| seed |]) texts.(design mod Array.length texts)
+  in
+  QCheck.Test.make ~name:"Io.load agrees with the reference parser" ~count:4000
+    (QCheck.make
+       ~print:(fun input -> Printf.sprintf "%S" (mutant input))
+       QCheck.Gen.(pair (int_bound 10_000) (int_bound 1_000_000)))
+    (fun input -> same_load (mutant input))
+
 (* Routing against the per-flow reference in [Routing_oracle] on
    topologies synthesis never builds: parallel links (so the "smallest
    weight, then smallest link id" tie-break decides), bandwidth ties
@@ -876,7 +962,8 @@ let qcheck_cases =
     [
       prop_routing_valid; prop_cdg_edges_head_to_tail;
       prop_cdg_deps_bounded_by_route_pairs; prop_io_roundtrip;
-      prop_io_parser_total; prop_routing_matches_oracle;
+      prop_io_parser_total; prop_io_matches_oracle;
+      prop_routing_matches_oracle;
     ]
 
 let () =
@@ -982,6 +1069,8 @@ let () =
             test_io_rejects_non_finite_bandwidth;
           tc "file roundtrip" test_io_file_roundtrip;
           tc "missing file" test_io_missing_file;
+          tc "registry designs load as the reference does"
+            test_io_matches_oracle_on_registry;
         ] );
       ( "dot_export",
         [

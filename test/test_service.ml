@@ -382,30 +382,7 @@ let test_simulate_lint_codes () =
 (* Admission: what Lint.vet_job answers for inline designs             *)
 (* ------------------------------------------------------------------ *)
 
-(* Every registry design point (6 benchmarks x switches 2-26 x
-   max_degree 3-5), saved inline the way nocbench's warm-replay builds
-   it. *)
-let registry_design_texts () =
-  List.concat_map
-    (fun (spec : Noc_benchmarks.Spec.t) ->
-      List.concat_map
-        (fun n_switches ->
-          List.map
-            (fun d ->
-              let options =
-                {
-                  Noc_synth.Custom.default_options with
-                  Noc_synth.Custom.max_out_degree = d;
-                  max_in_degree = d;
-                }
-              in
-              Noc_model.Io.save
-                (Noc_synth.Custom.synthesize_exn ~options
-                   (spec.Noc_benchmarks.Spec.build ())
-                   ~n_switches))
-            [ 3; 4; 5 ])
-        (List.init 25 (fun i -> i + 2)))
-    Noc_benchmarks.Registry.all
+let registry_design_texts = Fixtures.registry_design_texts
 
 (* The integer fields of a design line that a mutation may rewrite:
    counts, ids, endpoints, VC counts and route hops, as (token, part of
