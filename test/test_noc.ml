@@ -642,6 +642,25 @@ let test_io_rejects_non_finite_bandwidth () =
           "noc-design 1\nswitches 2\ncores 2\nlink 0 0 1 1\ncore 0 0\n\
            core 1 1\nflow 0 0 1 10\nroute 0 0:0\n"))
 
+(* A declared core count is checked against the core lines before
+   anything sized by it is allocated, so a short text declaring 5x10^7
+   cores is rejected without allocating a word per core. *)
+let test_io_huge_core_count_is_cheap () =
+  let text = "noc-design 1\nswitches 2\ncores 50000000\ncore 0 0\n" in
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = words () in
+  let loaded = Io.load text in
+  let allocated = words () -. before in
+  (match loaded with
+  | Ok _ -> Alcotest.fail "a design with one mapped core of 5x10^7 loaded"
+  | Error e -> check str_c "message" "core 1 has no mapping" e);
+  check bool_c
+    (Printf.sprintf "fewer than 10^6 words allocated (%.0f)" allocated)
+    true (allocated < 1e6)
+
 let test_io_file_roundtrip () =
   let ring = Fixtures.paper_ring () in
   let path = Filename.temp_file "noc_io_test" ".noc" in
@@ -1067,6 +1086,7 @@ let () =
           tc "invalid route rejected" test_io_rejects_invalid_route;
           tc "non-finite bandwidth rejected"
             test_io_rejects_non_finite_bandwidth;
+          tc "huge core count is cheap" test_io_huge_core_count_is_cheap;
           tc "file roundtrip" test_io_file_roundtrip;
           tc "missing file" test_io_missing_file;
           tc "registry designs load as the reference does"
