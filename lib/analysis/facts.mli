@@ -12,6 +12,11 @@
     intermediate, so the [deadlock-freedom] pass still compares two
     independent provers.
 
+    The context also carries its consumer's floor: the least severe
+    finding the consumer keeps.  A pass skips the work of a finding
+    below it.  [noc_tool lint] keeps everything; job admission
+    ([Noc_service.Lint.vet_job]) keeps only errors.
+
     A context belongs to one domain.  Its facts are lazy values, and
     forcing one from two domains at once raises, so build a context per
     analysed design on the domain that analyses it.  The network must
@@ -21,10 +26,15 @@ open Noc_model
 
 type t
 
-val of_network : Network.t -> t
-(** A context over [net]; computes nothing yet. *)
+val of_network : ?floor:Diag_code.severity -> Network.t -> t
+(** A context over [net]; computes nothing yet.  [floor] (default
+    [Info], keep every finding) is the least severe finding the
+    consumer keeps. *)
 
 val network : t -> Network.t
+
+val keeps : t -> Diag_code.severity -> bool
+(** [keeps t s]: a finding of severity [s] is at or above the floor. *)
 
 val issues : t -> Validate.issue list
 (** {!Noc_model.Validate.check} of the network: [[]] when every route

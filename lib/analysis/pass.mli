@@ -30,7 +30,8 @@ type t = {
           that only needs an exit code may skip passes whose floor is
           below the failure threshold; job admission
           ([Noc_service.Lint.vet_job]) runs only the [Error]-floor
-          passes. *)
+          passes, and their context ({!Facts.keeps}) tells them to
+          skip their warnings and notes too. *)
   doc : string;  (** One-line description for catalogs and [--help]. *)
   run : target -> Diagnostic.t list;
       (** Must return [[]] on targets outside the pass's scope. *)

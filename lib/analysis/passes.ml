@@ -57,16 +57,19 @@ let connectivity =
       design_only (fun facts ->
           let topo = Network.topology (Facts.network facts) in
           let isolated =
-            List.filter_map
-              (fun s ->
-                let s = Ids.Switch.of_int s in
-                if Topology.degree topo s = 0 then
-                  Some
-                    (Diagnostic.v Diag_code.topo_isolated_switch
-                       (Diagnostic.Switch s) "switch has no attached links"
-                       ~fix:"connect the switch or drop it from the design")
-                else None)
-              (List.init (Topology.n_switches topo) Fun.id)
+            if not (Facts.keeps facts Diag_code.topo_isolated_switch.severity)
+            then []
+            else
+              List.filter_map
+                (fun s ->
+                  let s = Ids.Switch.of_int s in
+                  if Topology.degree topo s = 0 then
+                    Some
+                      (Diagnostic.v Diag_code.topo_isolated_switch
+                         (Diagnostic.Switch s) "switch has no attached links"
+                         ~fix:"connect the switch or drop it from the design")
+                  else None)
+                (List.init (Topology.n_switches topo) Fun.id)
           in
           let disconnected =
             if Topology.is_connected topo then []
@@ -308,7 +311,8 @@ let deadlock_freedom =
                    let knot_finding =
                      match (v.Deadlock_freedom.knot, v.Deadlock_freedom.knot_cycle)
                      with
-                     | Some (c :: _ as knot), Some cycle ->
+                     | Some (c :: _ as knot), Some cycle
+                       when Facts.keeps facts Diag_code.dlf_knot.severity ->
                          [
                            Diagnostic.v Diag_code.dlf_knot
                              (Diagnostic.Channel c)
@@ -321,22 +325,29 @@ let deadlock_freedom =
                          ]
                      | _ -> []
                    in
-                   let bound = Deadlock_freedom.vc_lower_bound net in
-                   match bound.Deadlock_freedom.lower_bound with
-                   | 0 -> knot_finding
-                   | n ->
-                       knot_finding
-                       @ [
-                           Diagnostic.v Diag_code.dlf_vc_lower_bound
-                             Diagnostic.Design
-                             (Printf.sprintf
-                                "any duplication-based removal must add at \
-                                 least %d VC%s (%d vertex-disjoint wait \
-                                 cycles)"
-                                n
-                                (if n = 1 then "" else "s")
-                                n);
-                         ])
+                   let bound_finding =
+                     if not (Facts.keeps facts Diag_code.dlf_vc_lower_bound.severity)
+                     then []
+                     else
+                       match
+                         (Deadlock_freedom.vc_lower_bound net)
+                           .Deadlock_freedom.lower_bound
+                       with
+                       | 0 -> []
+                       | n ->
+                           [
+                             Diagnostic.v Diag_code.dlf_vc_lower_bound
+                               Diagnostic.Design
+                               (Printf.sprintf
+                                  "any duplication-based removal must add at \
+                                   least %d VC%s (%d vertex-disjoint wait \
+                                   cycles)"
+                                  n
+                                  (if n = 1 then "" else "s")
+                                  n);
+                           ]
+                   in
+                   knot_finding @ bound_finding)
              in
              cross @ witness));
   }

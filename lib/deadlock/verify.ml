@@ -6,7 +6,6 @@ type certificate = {
   n_dependencies : int;
   numbering : (Channel.t * int) list option;
   sample_cycle : Channel.t list option;
-  structural_issues : Validate.issue list;
 }
 
 let certify net =
@@ -25,7 +24,6 @@ let certify net =
     n_dependencies = Noc_graph.Digraph.n_edges g;
     numbering;
     sample_cycle = (if acyclic then None else Cdg.smallest_cycle cdg);
-    structural_issues = Validate.check net;
   }
 
 let check_numbering net numbering =
@@ -53,7 +51,4 @@ let pp_certificate ppf c =
            Channel.pp)
         cycle
   | None -> ());
-  List.iter
-    (fun i -> Format.fprintf ppf "@,issue: %a" Validate.pp_issue i)
-    c.structural_issues;
   Format.fprintf ppf "@]"

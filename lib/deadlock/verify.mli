@@ -16,12 +16,12 @@ type certificate = {
           [None] when cyclic. *)
   sample_cycle : Channel.t list option;
       (** A smallest offending cycle when cyclic; [None] otherwise. *)
-  structural_issues : Validate.issue list;
-      (** Route/topology well-formedness problems, independent of
-          deadlock freedom. *)
 }
 
 val certify : Network.t -> certificate
+(** The CDG's verdict and its witness.  Route well-formedness is
+    {!Noc_model.Validate.check}'s question, not this one's: certify a
+    design whose routes are valid. *)
 
 val check_numbering : Network.t -> (Channel.t * int) list -> bool
 (** Re-validates a certificate numbering against the network's current

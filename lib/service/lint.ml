@@ -10,23 +10,27 @@ module Diagnostic = Noc_analysis.Diagnostic
 module Pass = Noc_analysis.Pass
 module Engine = Noc_analysis.Engine
 
-(* Only a pass whose floor is Error can put an error-level finding in
-   the message, so the others (floor Warning) cannot change a verdict
-   and are not run. *)
-let error_floor_passes =
-  List.filter
-    (fun (p : Pass.t) -> p.Pass.severity_floor = Diag_code.Error)
-    (Noc_analysis.Registry.design_passes ())
-
-(* Error-level design findings, one compact line each, for embedding
-   into a job-level message. *)
+(* Admission keeps only error-level findings: a pass whose floor is
+   below Error cannot change a verdict and is not run, and the passes
+   that do run skip the work of their warnings and notes. *)
 let inline_design_errors text =
-  match Io.load text with
+  let analysed =
+    Result.bind (Io.parse text) (fun net ->
+        let facts = Noc_analysis.Facts.of_network ~floor:Diag_code.Error net in
+        Result.map
+          (fun _ -> facts)
+          (Io.validated (fun _ -> Noc_analysis.Facts.issues facts) net))
+  in
+  match analysed with
   | Error e -> Error (Printf.sprintf "inline design does not parse: %s" e)
-  | Ok net ->
+  | Ok facts ->
+      let passes =
+        List.filter
+          (fun (p : Pass.t) -> Noc_analysis.Facts.keeps facts p.Pass.severity_floor)
+          (Noc_analysis.Registry.design_passes ())
+      in
       let report =
-        Engine.analyze ~passes:error_floor_passes ~label:"inline"
-          (Pass.Design (Noc_analysis.Facts.of_network net))
+        Engine.analyze ~passes ~label:"inline" (Pass.Design facts)
       in
       let errors =
         List.filter

@@ -20,12 +20,17 @@ val vet_job : Job.t -> (unit, string) result
     inline design, unstable hash).  The message lists every finding
     with its code.
 
-    An inline design is parsed once and analysed through one
-    {!Noc_analysis.Facts} context by the design passes whose
-    [severity_floor] is [Error] ([routes], [connectivity],
-    [certificate], [deadlock-freedom]).  The other five can emit
-    nothing above a warning, so they cannot change the verdict and are
-    not run; [noc_tool lint] still runs all nine. *)
+    An inline design is parsed once ({!Noc_model.Io.parse}) and
+    analysed through one {!Noc_analysis.Facts} context whose floor is
+    [Error].  The context's [Validate.check] answers both the parse
+    verdict ({!Noc_model.Io.validated}, the same message as
+    {!Noc_model.Io.load}) and the [routes] pass.  Only the design passes
+    whose [severity_floor] is [Error] run ([routes], [connectivity],
+    [certificate], [deadlock-freedom]); the other five can emit nothing
+    above a warning, so they cannot change the verdict.  Inside the four,
+    no warning or note is computed: not [connectivity]'s isolated
+    switches, nor [deadlock-freedom]'s waiting knot and VC lower bound.
+    [noc_tool lint] still runs all nine and keeps every finding. *)
 
 val job_diagnostics :
   location:Noc_analysis.Diagnostic.location ->

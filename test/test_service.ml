@@ -525,6 +525,29 @@ let test_admission_rejects_non_finite_bandwidth () =
             msg)
     [ "nan"; "inf" ]
 
+(* Admission must not pay for switches a design declares but never
+   links: 3,000,000 of them, two linked, are rejected as disconnected
+   within 2 s. *)
+let test_admission_declared_switches_are_cheap () =
+  let text =
+    "noc-design 1\nswitches 3000000\ncores 2\nlink 0 0 1 1\ncore 0 0\n\
+     core 1 1\nflow 0 0 1 100\nroute 0 0:0\n"
+  in
+  let t0 = Unix.gettimeofday () in
+  let verdict =
+    Lint.vet_job { Job.design = Job.Inline text; method_ = Job.removal_defaults }
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  (match verdict with
+  | Ok () -> Alcotest.fail "a disconnected design was admitted"
+  | Error msg ->
+      check string_c "message"
+        "rejected by lint: NOC-JOB-002 inline design fails error-level lint: \
+         NOC-TOPO-001 design: topology is not (weakly) connected"
+        msg);
+  check bool_c (Printf.sprintf "vets within 2 s (took %.2f s)" elapsed) true
+    (elapsed < 2.)
+
 (* ------------------------------------------------------------------ *)
 (* Outcome                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1542,6 +1565,8 @@ let () =
             test_admission_verdicts_golden;
           Alcotest.test_case "non-finite bandwidth rejected" `Quick
             test_admission_rejects_non_finite_bandwidth;
+          Alcotest.test_case "declared switches are cheap" `Quick
+            test_admission_declared_switches_are_cheap;
         ] );
       ( "outcome",
         [
