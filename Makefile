@@ -60,8 +60,9 @@ trace: build
 
 # The daemon smoke test, mirroring the serve-smoke + store-persistence
 # CI jobs in miniature: start `noc serve` with a store, submit the full
-# registry cold, then five inline designs (two accepted, three rejected
-# by admission, exit 2), then the registry warm across a restart;
+# registry cold, then seven inline designs (two accepted, five rejected
+# by admission, two of them declaring millions of switches or cores;
+# exit 2), then the registry warm across a restart;
 # require a clean SIGTERM drain and a 100% warm-hit second pass.  Then
 # the crash path: a cold pass on a second store, `kill -9` (no drain,
 # so no index flush), and a restart that must still serve all 12 warm
@@ -84,7 +85,7 @@ serve-smoke: build
 	[ "$$rc" -eq 2 ] \
 	  || { echo "serve-smoke: inline jobs exit $$rc, want 2"; \
 	       cat "$$dir/inline.txt"; exit 1; }; \
-	grep -q '5 jobs: 2 ok, 0 failed, 3 rejected, 0 overloaded, 0 warm hits' \
+	grep -q '7 jobs: 2 ok, 0 failed, 5 rejected, 0 overloaded, 0 warm hits' \
 	  "$$dir/inline.txt"; \
 	kill -TERM "$$server"; wait "$$server"; \
 	"$$noc" serve --socket "$$sock" --store "$$dir/store" -j 2 & \
