@@ -61,12 +61,8 @@ type parse_state = {
   mutable n_switches : int option;
   mutable n_cores : int option;
   mutable links : (int * int * int * int) list;  (* id, src, dst, vcs *)
-  mutable links_increasing : bool;  (* link ids strictly increase *)
-  mutable last_link : int;
   mutable mapping : (int * int) list;  (* core, switch *)
   mutable flows : (int * int * int * float) list;
-  mutable flows_increasing : bool;
-  mutable last_flow : int;
   mutable route_lines : (int * (int * int) list) list;
 }
 
@@ -111,12 +107,8 @@ let read text =
       n_switches = None;
       n_cores = None;
       links = [];
-      links_increasing = true;
-      last_link = min_int;
       mapping = [];
       flows = [];
-      flows_increasing = true;
-      last_flow = min_int;
       route_lines = [];
     }
   in
@@ -188,8 +180,6 @@ let read text =
       let src = int_field "link src" 2 in
       let dst = int_field "link dst" 3 in
       let vcs = int_field "vc count" 4 in
-      if id <= st.last_link then st.links_increasing <- false;
-      st.last_link <- id;
       st.links <- (id, src, dst, vcs) :: st.links
     end
     else if n = 3 && is 0 "core" then begin
@@ -203,10 +193,7 @@ let read text =
       let dst = int_field "flow dst" 3 in
       let bw = sub 4 in
       match float_of_string_opt bw with
-      | Some bw ->
-          if id <= st.last_flow then st.flows_increasing <- false;
-          st.last_flow <- id;
-          st.flows <- (id, src, dst, bw) :: st.flows
+      | Some bw -> st.flows <- (id, src, dst, bw) :: st.flows
       | None -> fail "bad bandwidth %S" bw
     end
     else if n >= 2 && is 0 "route" then begin
@@ -253,18 +240,22 @@ let core_mapping ~n_cores lines =
     mapping;
   mapping
 
+(* Lines listed newest first, put in [compare] order.  Ids that
+   already increase, as [save] writes them, need no sort; otherwise the
+   sort decides which malformed line is reported. *)
+let in_order id newest_first =
+  let rec decreasing = function
+    | a :: (b :: _ as rest) -> id a > id b && decreasing rest
+    | [ _ ] | [] -> true
+  in
+  if decreasing newest_first then List.rev newest_first
+  else List.sort compare (List.rev newest_first)
+
 let build st =
   match (st.n_switches, st.n_cores) with
   | None, _ -> Error "missing 'switches' directive"
   | _, None -> Error "missing 'cores' directive"
   | Some n_switches, Some n_cores -> (
-      (* Ids that already increase, as [save] writes them, are in
-         order; otherwise the sort decides which malformed line is
-         reported. *)
-      let in_order increasing newest_first =
-        if increasing then List.rev newest_first
-        else List.sort compare (List.rev newest_first)
-      in
       try
         let topo = Topology.create ~n_switches in
         List.iteri
@@ -278,7 +269,7 @@ let build st =
             for _ = 2 to vcs do
               ignore (Topology.add_vc topo lid)
             done)
-          (in_order st.links_increasing st.links);
+          (in_order (fun (id, _, _, _) -> id) st.links);
         let traffic = Traffic.create ~n_cores in
         List.iteri
           (fun expected (id, src, dst, bw) ->
@@ -287,7 +278,7 @@ let build st =
             ignore
               (Traffic.add_flow traffic ~src:(Ids.Core.of_int src)
                  ~dst:(Ids.Core.of_int dst) ~bandwidth:bw))
-          (in_order st.flows_increasing st.flows);
+          (in_order (fun (id, _, _, _) -> id) st.flows);
         let mapping = core_mapping ~n_cores st.mapping in
         let net =
           Network.make ~topology:topo ~traffic ~mapping:(fun c ->
