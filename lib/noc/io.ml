@@ -71,7 +71,8 @@ exception Bad_line of string
 (* The bytes [String.trim] strips ('\n' never occurs inside a line). *)
 let is_blank c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
 
-(* Scans over [text], each up to a bound [b]. *)
+(* Scans over [text].  Those taking [b] stop there; [drop_blanks] walks
+   back from [j] and needs a byte other than a blank before it. *)
 let rec skip_blanks text b i =
   if i < b && is_blank text.[i] then skip_blanks text b (i + 1) else i
 
