@@ -150,6 +150,34 @@ let test_topo_codes () =
   check string_c "at the switch" "switch/2"
     (Diagnostic.location_path isolated.Diagnostic.location)
 
+(* A context's floor skips the findings below it and keeps the rest:
+   at an Error floor neither the ring's knot (warning) nor its VC bound
+   (info) nor an isolated switch's warning is built, and the
+   disconnection error still is. *)
+let test_facts_floor () =
+  let at floor (pass : Pass.t) net =
+    List.sort compare (codes (pass.Pass.run (Pass.Design (Facts.of_network ~floor net))))
+  in
+  let codes_c = Alcotest.(list string) in
+  let ring = (Fixtures.paper_ring ()).Fixtures.net in
+  check codes_c "ring, every finding" [ "NOC-DLF-003"; "NOC-DLF-004" ]
+    (at Diag_code.Info Passes.deadlock_freedom ring);
+  check codes_c "ring, warnings up" [ "NOC-DLF-003" ]
+    (at Diag_code.Warning Passes.deadlock_freedom ring);
+  check codes_c "ring, errors only" [] (at Diag_code.Error Passes.deadlock_freedom ring);
+  let topo = Topology.create ~n_switches:3 in
+  ignore (Topology.add_link topo ~src:(sw 0) ~dst:(sw 1));
+  let traffic = Traffic.create ~n_cores:2 in
+  let f = Traffic.add_flow traffic ~src:(core 0) ~dst:(core 1) ~bandwidth:10. in
+  let net =
+    Network.make ~topology:topo ~traffic ~mapping:(fun c -> sw (Ids.Core.to_int c))
+  in
+  Network.set_route net f [ ch 0 ];
+  check codes_c "isolated switch, every finding" [ "NOC-TOPO-001"; "NOC-TOPO-002" ]
+    (at Diag_code.Info Passes.connectivity net);
+  check codes_c "isolated switch, errors only" [ "NOC-TOPO-001" ]
+    (at Diag_code.Error Passes.connectivity net)
+
 let test_dead_hardware_codes () =
   (* NOC-CHAN-001: a link no route crosses. *)
   let ring = Fixtures.paper_ring () in
@@ -1053,6 +1081,7 @@ let () =
           tc "json document" `Quick test_render_json;
           tc "sarif document" `Quick test_render_sarif;
           tc "text rendering" `Quick test_render_text;
+          tc "context floor skips only what it drops" `Quick test_facts_floor;
         ] );
       ( "jobs",
         [
