@@ -307,7 +307,6 @@ let validated issues net =
   | [] -> Ok net
   | issue :: _ ->
       Error (Format.asprintf "invalid design: %a" Validate.pp_issue issue)
-  | exception (Failure msg | Invalid_argument msg) -> Error msg
 
 let load text = Result.bind (parse text) (validated Validate.check)
 

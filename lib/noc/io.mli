@@ -45,8 +45,7 @@ val validated :
 (** [validated issues net] is {!load}'s answer for a design {!parse}
     built, given [issues], {!Validate.check} or a cached copy of it:
     [Ok net] without issues, ["invalid design: <first issue>"]
-    otherwise, and the message of a [Failure] or [Invalid_argument]
-    that [issues] raises (a route naming an unknown link). *)
+    otherwise. *)
 
 val load_file : string -> (Network.t, string) result
 (** Read and {!load} a file; I/O failures become [Error]. *)

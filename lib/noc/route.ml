@@ -12,6 +12,7 @@ let consecutive_pairs r =
   pairs r
 
 type error =
+  | Unknown_link of Channel.t
   | Missing_route of { src : Ids.Switch.t; dst : Ids.Switch.t }
   | Bad_vc of { channel : Channel.t; have : int }
   | Wrong_source of { actual : Ids.Switch.t; expected : Ids.Switch.t }
@@ -22,11 +23,14 @@ type error =
 let error_code = function
   | Missing_route _ -> Diag_code.route_missing
   | Bad_vc _ -> Diag_code.route_bad_vc
-  | Wrong_source _ | Wrong_destination _ | Discontinuity _ ->
+  | Unknown_link _ | Wrong_source _ | Wrong_destination _ | Discontinuity _ ->
       Diag_code.route_broken
   | Repeated_channel _ -> Diag_code.route_revisit
 
 let error_message = function
+  | Unknown_link channel ->
+      Format.asprintf "channel %a is on a link the topology does not declare"
+        Channel.pp channel
   | Missing_route { src; dst } ->
       Format.asprintf "empty route between distinct switches %a and %a"
         Ids.Switch.pp src Ids.Switch.pp dst
@@ -44,16 +48,19 @@ let error_message = function
   | Repeated_channel _ -> "route repeats a channel"
 
 let check_detailed topo ~src ~dst r =
-  let check_vc c =
-    let have = Topology.vc_count topo (Channel.link c) in
-    if Channel.vc c >= have then Some (Bad_vc { channel = c; have }) else None
+  let check_hop c =
+    if not (Topology.mem_link topo (Channel.link c)) then Some (Unknown_link c)
+    else
+      let have = Topology.vc_count topo (Channel.link c) in
+      if Channel.vc c >= have then Some (Bad_vc { channel = c; have })
+      else None
   in
   match r with
   | [] ->
       if Ids.Switch.equal src dst then Ok ()
       else Error (Missing_route { src; dst })
   | first :: _ -> (
-      match List.find_map check_vc r with
+      match List.find_map check_hop r with
       | Some e -> Error e
       | None ->
           let first_link = Topology.link topo (Channel.link first) in

@@ -13,6 +13,8 @@ val consecutive_pairs : t -> (Channel.t * Channel.t) list
     Empty for routes with fewer than two channels. *)
 
 type error =
+  | Unknown_link of Channel.t
+      (** The channel's link is not declared by the topology. *)
   | Missing_route of { src : Ids.Switch.t; dst : Ids.Switch.t }
       (** Empty route between distinct switches. *)
   | Bad_vc of { channel : Channel.t; have : int }
@@ -32,7 +34,8 @@ val check_detailed : Topology.t -> src:Ids.Switch.t -> dst:Ids.Switch.t -> t ->
   (unit, error) result
 (** Structural validation of a route on a topology:
     - non-empty unless [src = dst];
-    - every channel's VC index is within the link's VC count;
+    - every channel is on a declared link, and its VC index is within
+      the link's VC count (checked hop by hop, link first);
     - the first link leaves [src], the last enters [dst];
     - consecutive links are head-to-tail;
     - no channel repeats (routes are simple, as required for

@@ -55,6 +55,8 @@ let link t id =
       invalid_arg
         (Printf.sprintf "Topology.link: unknown link %d" (Ids.Link.to_int id))
 
+let mem_link t id = Hashtbl.mem t.link_by_id (Ids.Link.to_int id)
+
 let links t = List.rev t.links_rev
 
 let vc_count t id =

@@ -28,6 +28,9 @@ val add_link : t -> src:Ids.Switch.t -> dst:Ids.Switch.t -> Ids.Link.t
 val link : t -> Ids.Link.t -> link
 (** @raise Invalid_argument on an unknown link id. *)
 
+val mem_link : t -> Ids.Link.t -> bool
+(** Whether the topology declares the link. *)
+
 val links : t -> link list
 (** All links in id order. *)
 

@@ -407,6 +407,23 @@ let test_validate_missing_route () =
   let issues = Validate.check ring.Fixtures.net in
   check int_c "one issue" 1 (List.length issues)
 
+(* A hop on a link the topology does not declare is a route issue of
+   its flow, reported beside the other flows' issues, not a raise. *)
+let test_validate_undeclared_link () =
+  let ring = Fixtures.paper_ring () in
+  let net = ring.Fixtures.net in
+  Network.set_route net ring.Fixtures.flows.(0) [ ch 7 ];
+  Network.set_route net ring.Fixtures.flows.(2) [];
+  match Validate.check net with
+  | [ unknown; missing ] ->
+      check str_c "undeclared link"
+        "NOC-ROUTE-002 F0: channel L7 is on a link the topology does not \
+         declare"
+        (fmt_to_string Validate.pp_issue unknown);
+      check str_c "other flows still checked" "NOC-ROUTE-001"
+        missing.Validate.code.Diag_code.code
+  | issues -> Alcotest.failf "expected two issues, got %d" (List.length issues)
+
 let test_validate_routes_equivalent () =
   let ring = Fixtures.paper_ring () in
   let net = ring.Fixtures.net in
@@ -612,6 +629,19 @@ let test_io_error_messages () =
           check bool_c (Printf.sprintf "%S mentions %S (got %S)" text fragment e)
             true contains)
     cases
+
+let test_io_rejects_undeclared_link () =
+  let text =
+    "noc-design 1\nswitches 2\ncores 2\nlink 0 0 1 1\ncore 0 0\ncore 1 1\n\
+     flow 0 0 1 100\nroute 0 7:0\n"
+  in
+  match Io.load text with
+  | Ok _ -> Alcotest.fail "a route on an undeclared link loaded"
+  | Error e ->
+      check str_c "message"
+        "invalid design: NOC-ROUTE-002 F0: channel L7 is on a link the \
+         topology does not declare"
+        e
 
 let test_io_rejects_invalid_route () =
   (* A structurally broken route must be caught by validation. *)
@@ -1056,6 +1086,7 @@ let () =
         [
           tc "ok" test_validate_ok;
           tc "missing route" test_validate_missing_route;
+          tc "undeclared link" test_validate_undeclared_link;
           tc "routes equivalent" test_validate_routes_equivalent;
         ] );
       ( "routing_function",
@@ -1084,6 +1115,8 @@ let () =
           tc "comments and blanks" test_io_comments_and_blanks;
           tc "error messages" test_io_error_messages;
           tc "invalid route rejected" test_io_rejects_invalid_route;
+          tc "route on an undeclared link rejected"
+            test_io_rejects_undeclared_link;
           tc "non-finite bandwidth rejected"
             test_io_rejects_non_finite_bandwidth;
           tc "huge core count is cheap" test_io_huge_core_count_is_cheap;
