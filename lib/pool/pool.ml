@@ -1,8 +1,17 @@
 type task = unit -> unit
 
+(* The workers spawn with the first task, not at [create]: a pool that
+   is never given work (a daemon serving only stored results) runs no
+   domain, so its collections wait at no barrier for idle workers.
+   [lock] serializes that spawn against a concurrent first submission
+   and against [shutdown]; [started] lets every later submission skip
+   the lock. *)
 type t = {
   queue : task Bounded_queue.t;
-  workers : unit Domain.t array;
+  size : int;
+  lock : Mutex.t;
+  started : bool Atomic.t;
+  mutable workers : unit Domain.t list;  (* the ones that spawned *)
   workers_gauge : Noc_obs.Metrics.gauge;
   busy_gauge : Noc_obs.Metrics.gauge;
   mutable shut_down : bool;
@@ -46,21 +55,51 @@ let create ?(queue_capacity = default_queue_capacity) ~domains () =
   let queue = Bounded_queue.create ~capacity:queue_capacity in
   let workers_gauge = Noc_obs.Metrics.gauge "noc_pool_workers" in
   let busy_gauge = Noc_obs.Metrics.gauge "noc_pool_busy_workers" in
-  let workers = Array.init domains (fun _ -> Domain.spawn (worker_loop queue)) in
   adjust workers_gauge total_workers domains;
-  { queue; workers; workers_gauge; busy_gauge; shut_down = false }
+  {
+    queue;
+    size = domains;
+    lock = Mutex.create ();
+    started = Atomic.make false;
+    workers = [];
+    workers_gauge;
+    busy_gauge;
+    shut_down = false;
+  }
 
-let domains t = Array.length t.workers
+let domains t = t.size
 
 let queue_depth t = Bounded_queue.length t.queue
 
+(* Each domain is recorded as it spawns.  When a spawn fails (the
+   runtime's domain limit), the exception reaches the submitter before
+   its task is queued, [shutdown] still joins the domains that did
+   start, and the next submission spawns the rest. *)
+let start t =
+  if not (Atomic.get t.started) then
+    Mutex.protect t.lock (fun () ->
+        if not t.shut_down then begin
+          for _ = List.length t.workers + 1 to t.size do
+            t.workers <- Domain.spawn (worker_loop t.queue) :: t.workers
+          done;
+          Atomic.set t.started true
+        end)
+
 let shutdown t =
-  if not t.shut_down then begin
-    t.shut_down <- true;
-    Bounded_queue.close t.queue;
-    Array.iter Domain.join t.workers;
-    adjust t.workers_gauge total_workers (-Array.length t.workers)
-  end
+  let workers =
+    Mutex.protect t.lock (fun () ->
+        if t.shut_down then None
+        else begin
+          t.shut_down <- true;
+          Some t.workers
+        end)
+  in
+  Option.iter
+    (fun workers ->
+      Bounded_queue.close t.queue;
+      List.iter Domain.join workers;
+      adjust t.workers_gauge total_workers (-t.size))
+    workers
 
 let with_pool ?queue_capacity ~domains f =
   let t = create ?queue_capacity ~domains () in
@@ -85,10 +124,12 @@ let instrumented t task =
 
 let submit t task =
   if t.shut_down then invalid_arg "Pool.submit: pool is shut down";
+  start t;
   Bounded_queue.push t.queue (instrumented t task)
 
 let try_submit t task =
   if t.shut_down then invalid_arg "Pool.try_submit: pool is shut down";
+  start t;
   Bounded_queue.try_push t.queue (instrumented t task)
 
 (* Order-preserving parallel map.  Tasks store into a slot array; the

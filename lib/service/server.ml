@@ -30,11 +30,12 @@
 
 module Json = Noc_json.Json
 
-(* Built in [create], before the pool spawns its workers: the serve.*
-   family belongs in a daemon's registry from startup (a /metrics
-   report with the counters at zero), but not in the traces of CLI
-   runs that never start a server.  Workers reach the handles through
-   [t], so no instrument is ever registered on a worker domain. *)
+(* Built in [create], before the pool can spawn its workers (at the
+   first store miss): the serve.* family belongs in a daemon's registry
+   from startup (a /metrics report with the counters at zero), but not
+   in the traces of CLI runs that never start a server.  Workers reach
+   the handles through [t], so no instrument is ever registered on a
+   worker domain. *)
 type serve_metrics = {
   m_jobs : Noc_obs.Metrics.counter;
   m_rejected : Noc_obs.Metrics.counter;
@@ -229,18 +230,20 @@ let handle_submit t conn ~id ?corr job =
   let received_ns = Noc_obs.Clock.now_ns () in
   Noc_obs.Metrics.incr m.m_jobs;
   let hash = Job.hash job in
+  let reject reason =
+    Noc_obs.Metrics.incr m.m_rejected;
+    t.config.telemetry.Noc_obs.Sink.emit
+      (Telemetry.job_finished ?corr ~index:id ~job
+         ~outcome:(Outcome.failed ~wall_ms:0. reason) ~cache_hit:false ());
+    send conn (Wire.Rejected { id; reason })
+  in
   if stopping t then begin
     Noc_obs.Metrics.incr m.m_rejected;
     send conn (Wire.Rejected { id; reason = "server is draining" })
   end
   else
     match if t.config.lint then Lint.vet_job job else Ok () with
-    | Error reason ->
-        Noc_obs.Metrics.incr m.m_rejected;
-        t.config.telemetry.Noc_obs.Sink.emit
-          (Telemetry.job_finished ?corr ~index:id ~job
-             ~outcome:(Outcome.failed ~wall_ms:0. reason) ~cache_hit:false ());
-        send conn (Wire.Rejected { id; reason })
+    | Error reason -> reject reason
     | Ok () -> (
         match
           Option.bind t.config.store (fun store -> Store.find store hash)
@@ -279,12 +282,22 @@ let handle_submit t conn ~id ?corr job =
             t.config.telemetry.Noc_obs.Sink.emit
               (Telemetry.job_submitted ?corr ~index:id ~job ~queue_depth:depth
                  ());
-            if not (Noc_pool.Pool.try_submit t.pool task) then begin
+            let unqueued () =
               Atomic.decr t.inflight;
-              Atomic.decr conn.pending;
-              Noc_obs.Metrics.incr m.m_overloaded;
-              send conn (Wire.Overloaded { id; queue_depth = depth })
-            end)
+              Atomic.decr conn.pending
+            in
+            (* The first miss spawns the pool's workers; a spawn the
+               runtime refuses rejects this job and leaves the loop
+               serving. *)
+            match Noc_pool.Pool.try_submit t.pool task with
+            | true -> ()
+            | false ->
+                unqueued ();
+                Noc_obs.Metrics.incr m.m_overloaded;
+                send conn (Wire.Overloaded { id; queue_depth = depth })
+            | exception Failure reason ->
+                unqueued ();
+                reject reason)
 
 let handle_request t conn request =
   let request_hist =

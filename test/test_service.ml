@@ -599,6 +599,59 @@ let test_pool_gauges_registered_at_create () =
   check bool_c "noc_pool_busy_workers registered before any task" true
     (gauge "noc_pool_busy_workers" = Some 0.)
 
+(* Runs [f] under a fresh trace collector and returns its result with
+   the domains on which a [pool.worker] span opened and closed. *)
+let with_worker_spans f =
+  let collector = Noc_obs.Trace.create () in
+  Noc_obs.Trace.install collector;
+  let result = Fun.protect ~finally:Noc_obs.Trace.uninstall f in
+  ( result,
+    List.filter_map
+      (fun (s : Noc_obs.Trace.completed) ->
+        if s.Noc_obs.Trace.name = "pool.worker" then Some s.Noc_obs.Trace.domain
+        else None)
+      (Noc_obs.Trace.completed_spans collector) )
+
+(* Workers spawn with the first task: a pool that never gets one runs
+   no domain. *)
+let test_pool_without_tasks_spawns_no_worker () =
+  let (), workers =
+    with_worker_spans (fun () ->
+        Noc_pool.Pool.shutdown (Noc_pool.Pool.create ~domains:2 ()))
+  in
+  check int_c "pool.worker spans" 0 (List.length workers)
+
+(* Two domains submit a fresh pool's first tasks at once: the workers
+   spawn once, all of them after the first submission (domain ids only
+   grow), and every task runs. *)
+let test_pool_first_tasks_spawn_workers_once () =
+  let domains = 3 and per_submitter = 50 in
+  let ran = Atomic.make 0 in
+  let (submitters : int list), workers =
+    with_worker_spans (fun () ->
+        let pool = Noc_pool.Pool.create ~domains () in
+        let ready = Atomic.make 0 in
+        let submitter () =
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do
+            Domain.cpu_relax ()
+          done;
+          for _ = 1 to per_submitter do
+            Noc_pool.Pool.submit pool (fun () -> Atomic.incr ran)
+          done;
+          (Domain.self () :> int)
+        in
+        let a = Domain.spawn submitter and b = Domain.spawn submitter in
+        let ids = [ Domain.join a; Domain.join b ] in
+        Noc_pool.Pool.shutdown pool;
+        ids)
+  in
+  check int_c "every task ran" (2 * per_submitter) (Atomic.get ran);
+  check int_c "pool.worker spans" domains (List.length workers);
+  let first = List.fold_left min max_int submitters in
+  check bool_c "workers spawned after the first submitter started" true
+    (List.for_all (fun w -> w > first) workers)
+
 let test_pool_preserves_order () =
   let xs = List.init 100 Fun.id in
   let expected = List.map (fun x -> x * x) xs in
@@ -1495,6 +1548,51 @@ let test_server_end_to_end_warm_restart () =
           | _ -> ())
         cold warm)
 
+(* Starts a daemon on the store under [dir], submits [jobs] over one
+   connection, drains the daemon and returns the replies. *)
+let serve_once ~dir jobs =
+  let socket = Filename.concat dir "serve.sock" in
+  let store = Store.create ~root:(Filename.concat dir "store") ~capacity:64 in
+  let server =
+    Server.create
+      {
+        Server.default_config with
+        socket_path = socket;
+        store = Some store;
+        domains = 2;
+      }
+  in
+  let d = Domain.spawn (fun () -> Server.run server) in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while (not (Sys.file_exists socket)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  let replies =
+    Result.bind (Client.connect ~socket) (fun client ->
+        Fun.protect
+          ~finally:(fun () -> Client.close client)
+          (fun () -> Client.submit_all client jobs ~on_result:(fun _ _ _ -> ())))
+  in
+  Server.stop server;
+  Domain.join d;
+  match replies with Ok rs -> rs | Error e -> Alcotest.fail e
+
+(* A daemon restarted on a warm store that answers only store hits
+   never spawns its pool's workers. *)
+let test_server_warm_restart_starts_no_worker () =
+  with_temp_dir (fun dir ->
+      let jobs = List.filteri (fun i _ -> i < 4) (registry_jobs ()) in
+      ignore (serve_once ~dir jobs);
+      let replies, workers = with_worker_spans (fun () -> serve_once ~dir jobs) in
+      List.iter
+        (function
+          | Wire.Result { cached; _ } ->
+              check bool_c "served from the store" true cached
+          | _ -> Alcotest.fail "expected a result reply")
+        replies;
+      check int_c "replies" (List.length jobs) (List.length replies);
+      check int_c "pool.worker spans" 0 (List.length workers))
+
 (* The socket path appears only once the daemon listens, so a client
    that connects the moment the path exists is never refused.  The
    client spins on the path to land as close to the bind as it can. *)
@@ -1578,6 +1676,10 @@ let () =
         [
           Alcotest.test_case "gauges registered at create" `Quick
             test_pool_gauges_registered_at_create;
+          Alcotest.test_case "no task spawns no worker" `Quick
+            test_pool_without_tasks_spawns_no_worker;
+          Alcotest.test_case "first tasks from two domains spawn once" `Quick
+            test_pool_first_tasks_spawn_workers_once;
           Alcotest.test_case "preserves order" `Quick test_pool_preserves_order;
           Alcotest.test_case "re-raises" `Quick test_pool_reraises;
         ] );
@@ -1619,6 +1721,8 @@ let () =
             test_server_end_to_end_warm_restart;
           Alcotest.test_case "socket path appears only once listening" `Quick
             test_server_socket_ready_when_path_appears;
+          Alcotest.test_case "warm restart starts no worker" `Quick
+            test_server_warm_restart_starts_no_worker;
         ] );
       ( "batch",
         [
