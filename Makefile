@@ -66,20 +66,29 @@ trace: build
 # require a clean SIGTERM drain and a 100% warm-hit second pass.  Then
 # the crash path: a cold pass on a second store, `kill -9` (no drain,
 # so no index flush), and a restart that must still serve all 12 warm
-# from that store.  Uses the built binary directly so the daemon holds
-# no dune lock.
+# from that store.  The pool's workers start with the first store miss:
+# each cold daemon must gain threads over its first pass, and each warm
+# restart must end its 12 hits with the threads it started with (read
+# from /proc).  Uses the built binary directly so the daemon holds no
+# dune lock; a failed check kills the daemon on its way out.
 serve-smoke: build
 	@set -e; \
 	dir="$$(mktemp -d)"; \
-	trap 'rm -rf "$$dir"' EXIT; \
+	server=; \
+	trap '[ -z "$$server" ] || kill -KILL "$$server" 2>/dev/null || true; rm -rf "$$dir"' EXIT; \
 	noc="$$(pwd)/_build/default/bin/noc_tool.exe"; \
 	sock="$$dir/serve.sock"; \
+	threads() { awk '/^Threads:/ { print $$2 }' "/proc/$$server/status"; }; \
+	expect_threads() { now="$$(threads)"; [ "$$now" "$$1" "$$start" ] \
+	  || { echo "serve-smoke: $$2 daemon threads $$start -> $$now"; exit 1; }; }; \
 	"$$noc" serve --socket "$$sock" --store "$$dir/store" -j 2 & \
 	server=$$!; \
 	for i in $$(seq 1 100); do [ -S "$$sock" ] && break; sleep 0.1; done; \
 	[ -S "$$sock" ]; \
+	start="$$(threads)"; \
 	"$$noc" submit test/cli/registry_jobs.json --socket "$$sock" \
 	  | grep -q '12 ok, 0 failed, 0 rejected, 0 overloaded, 0 warm hits'; \
+	expect_threads -gt cold; \
 	rc=0; "$$noc" submit test/cli/inline_jobs.json --socket "$$sock" \
 	  > "$$dir/inline.txt" || rc=$$?; \
 	[ "$$rc" -eq 2 ] \
@@ -91,25 +100,31 @@ serve-smoke: build
 	"$$noc" serve --socket "$$sock" --store "$$dir/store" -j 2 & \
 	server=$$!; \
 	for i in $$(seq 1 100); do [ -S "$$sock" ] && break; sleep 0.1; done; \
+	start="$$(threads)"; \
 	"$$noc" submit test/cli/registry_jobs.json --socket "$$sock" \
 	  | grep -q '12 ok, 0 failed, 0 rejected, 0 overloaded, 12 warm hits'; \
+	expect_threads -eq warm; \
 	kill -TERM "$$server"; wait "$$server"; \
 	"$$noc" serve --socket "$$sock" --store "$$dir/crash-store" -j 2 & \
 	server=$$!; \
 	for i in $$(seq 1 100); do [ -S "$$sock" ] && break; sleep 0.1; done; \
 	[ -S "$$sock" ]; \
+	start="$$(threads)"; \
 	"$$noc" submit test/cli/registry_jobs.json --socket "$$sock" \
 	  | grep -q '12 ok, 0 failed, 0 rejected, 0 overloaded, 0 warm hits'; \
+	expect_threads -gt cold; \
 	kill -KILL "$$server"; wait "$$server" || true; \
 	rm -f "$$sock"; \
 	"$$noc" serve --socket "$$sock" --store "$$dir/crash-store" -j 2 & \
 	server=$$!; \
 	for i in $$(seq 1 100); do [ -S "$$sock" ] && break; sleep 0.1; done; \
+	start="$$(threads)"; \
 	"$$noc" submit test/cli/registry_jobs.json --socket "$$sock" \
 	  | grep -q '12 ok, 0 failed, 0 rejected, 0 overloaded, 12 warm hits'; \
+	expect_threads -eq warm; \
 	"$$noc" serve-stats --socket "$$sock" | grep -q '^store_hits 12$$'; \
 	kill -TERM "$$server"; wait "$$server"; \
-	echo "serve-smoke: OK (cold run, inline admission, clean drain, 100% warm restart, 100% warm after kill -9)"
+	echo "serve-smoke: OK (cold run, inline admission, clean drain, 100% warm restart, 100% warm after kill -9, warm daemons start no worker)"
 
 # The live-telemetry smoke test, mirroring the metrics-smoke CI job in
 # miniature: boot the daemon with a Prometheus listener, do some work
