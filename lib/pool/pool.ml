@@ -85,21 +85,20 @@ let start t =
           Atomic.set t.started true
         end)
 
+(* Once [shut_down] is set under the lock, [start] spawns no more, so
+   [workers] is final. *)
 let shutdown t =
-  let workers =
+  let first =
     Mutex.protect t.lock (fun () ->
-        if t.shut_down then None
-        else begin
-          t.shut_down <- true;
-          Some t.workers
-        end)
+        let first = not t.shut_down in
+        t.shut_down <- true;
+        first)
   in
-  Option.iter
-    (fun workers ->
-      Bounded_queue.close t.queue;
-      List.iter Domain.join workers;
-      adjust t.workers_gauge total_workers (-t.size))
-    workers
+  if first then begin
+    Bounded_queue.close t.queue;
+    List.iter Domain.join t.workers;
+    adjust t.workers_gauge total_workers (-t.size)
+  end
 
 let with_pool ?queue_capacity ~domains f =
   let t = create ?queue_capacity ~domains () in

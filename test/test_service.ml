@@ -575,7 +575,7 @@ let test_outcome_roundtrip () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Pool: order preservation and error propagation                      *)
+(* Pool: lazy workers, order preservation and error propagation       *)
 (* ------------------------------------------------------------------ *)
 
 (* The gauges must exist as soon as [create] returns, so no worker
