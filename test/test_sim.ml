@@ -201,6 +201,51 @@ let test_engine_revisiting_route_rejected () =
     (Invalid_argument "Engine.run: packet 0 revisits channel L0") (fun () ->
       ignore (Engine.run net [ p ]))
 
+(* The compile's input errors, in the order it reports them.  Packets
+   are built as records, so the channel records reach the engine as
+   given (a negative VC included). *)
+let two_link_ring () =
+  let topo = Topology.create ~n_switches:2 in
+  let l0 = Topology.add_link topo ~src:(sw 0) ~dst:(sw 1) in
+  let l1 = Topology.add_link topo ~src:(sw 1) ~dst:(sw 0) in
+  let traffic = Traffic.create ~n_cores:2 in
+  ignore (Traffic.add_flow traffic ~src:(core 0) ~dst:(core 1) ~bandwidth:1.);
+  let net =
+    Network.make ~topology:topo ~traffic ~mapping:(fun c -> sw (Ids.Core.to_int c))
+  in
+  (net, Channel.make l0 0, Channel.make l1 0)
+
+let record_packet ~id ~flow route =
+  { Packet.id; flow = Fixtures.fl flow; route; length = 2; inject_at = 0 }
+
+let test_engine_unknown_channel_before_revisit () =
+  let net, c0, c1 = two_link_ring () in
+  let revisits = record_packet ~id:0 ~flow:0 [| c0; c1; c0 |] in
+  let unknown = record_packet ~id:1 ~flow:0 [| c0; ch ~vc:3 1 |] in
+  Alcotest.check_raises "unknown channel wins"
+    (Invalid_argument "Engine.run: packet uses unknown channel L1'3") (fun () ->
+      ignore (Engine.run net [ revisits; unknown ]))
+
+let test_engine_first_revisit_in_input_order () =
+  let net, c0, c1 = two_link_ring () in
+  (* The first packet in input order has the higher id and flow, so
+     neither an id nor a flow order would name it first. *)
+  let first = record_packet ~id:7 ~flow:1 [| c0; c1; c0 |] in
+  let second = record_packet ~id:2 ~flow:0 [| c1; c0; c1 |] in
+  Alcotest.check_raises "first revisiting packet"
+    (Invalid_argument "Engine.run: packet 7 revisits channel L0") (fun () ->
+      ignore (Engine.run net [ first; second ]))
+
+let test_engine_negative_vc_is_unknown () =
+  let net, c0, _ = two_link_ring () in
+  let negative = { Channel.link = Fixtures.lk 0; vc = -1 } in
+  Alcotest.check_raises "VC -1"
+    (Invalid_argument "Engine.run: packet uses unknown channel L0'-1") (fun () ->
+      ignore (Engine.run net [ record_packet ~id:0 ~flow:0 [| c0; negative |] ]));
+  Alcotest.check_raises "undeclared link"
+    (Invalid_argument "Engine.run: packet uses unknown channel L2") (fun () ->
+      ignore (Engine.run net [ record_packet ~id:0 ~flow:0 [| ch 2 |] ]))
+
 let test_engine_empty_workload () =
   let net, _, _ = one_link_net () in
   match Engine.run net [] with
@@ -834,6 +879,9 @@ let () =
           tc "wormhole serialization" test_engine_wormhole_blocking;
           tc "unknown channel rejected" test_engine_unknown_channel_rejected;
           tc "revisiting route rejected" test_engine_revisiting_route_rejected;
+          tc "unknown channel before revisit" test_engine_unknown_channel_before_revisit;
+          tc "first revisit in input order" test_engine_first_revisit_in_input_order;
+          tc "negative VC is unknown" test_engine_negative_vc_is_unknown;
           tc "empty workload" test_engine_empty_workload;
         ] );
       ( "engine_deadlock",
