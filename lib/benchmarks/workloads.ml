@@ -12,6 +12,7 @@ let bandwidth_proportional net ~packet_length ~duration ~capacity_mbps ~seed =
     match Network.route net f.Traffic.id with
     | [] -> ([], rng, next_id)
     | route ->
+        let route = Array.of_list route in
         let flits =
           f.Traffic.bandwidth /. capacity_mbps *. float_of_int duration
         in
@@ -234,7 +235,7 @@ let over_routed_flows net ~seed packets_for =
       (fun (f : Traffic.flow) ->
         match Network.route net f.Traffic.id with
         | [] -> None
-        | route -> Some (f, route))
+        | route -> Some (f, Array.of_list route))
       (Traffic.flows (Network.traffic net))
   in
   all (Rng.make seed) 0 [] routed
@@ -311,7 +312,7 @@ let transpose net ~packet_length ~packets_per_flow ~interval =
       (fun (f : Traffic.flow) ->
         match Network.route net f.Traffic.id with
         | [] -> None
-        | route -> Some (f, route))
+        | route -> Some (f, Array.of_list route))
       (Traffic.flows (Network.traffic net))
   in
   let transposed =

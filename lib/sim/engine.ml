@@ -46,7 +46,8 @@ let span_cycle_batch = 1024
    every route is a dense int too ("hop"): packet [p]'s route is hops
    [first.(p)] to [last.(p)], and [hop_channel]/[hop_packet] say where
    and whose each hop is.  A buffered flit carries its hop, so
-   forwarding reads its next channel at [hop + 1]. *)
+   forwarding reads its next channel at [hop + 1].  Routes sit in the
+   hop arrays in input order; only the packet arrays are sorted. *)
 type compiled = {
   channels : Channel.t array;
   hop_channel : int array;
@@ -61,58 +62,141 @@ type compiled = {
   flow_end : int array;
 }
 
+let swap_in (a : int array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+(* Injection order within a flow: by (inject_at, id), ties in reverse
+   input order.  Routes are laid out in input order (see [compile]), so
+   a later packet has a larger [first]. *)
+let injects_before c a b =
+  let ta = c.inject_at.(a) and tb = c.inject_at.(b) in
+  ta < tb
+  || ta = tb
+     &&
+     let ia = c.id.(a) and ib = c.id.(b) in
+     ia < ib || (ia = ib && c.first.(a) > c.first.(b))
+
+let swap_packets c a b =
+  swap_in c.id a b;
+  swap_in c.length a b;
+  swap_in c.inject_at a b;
+  swap_in c.first a b;
+  swap_in c.last a b
+
+(* In-place heap sort of the packets [lo] to [lo + size - 1] into
+   injection order. *)
+let rec sift c lo root size =
+  let child = (2 * root) + 1 in
+  if child < size then begin
+    let child =
+      if child + 1 < size && injects_before c (lo + child) (lo + child + 1) then
+        child + 1
+      else child
+    in
+    if injects_before c (lo + root) (lo + child) then begin
+      swap_packets c (lo + root) (lo + child);
+      sift c lo child size
+    end
+  end
+
+let sort_packets c lo size =
+  for root = (size / 2) - 1 downto 0 do
+    sift c lo root size
+  done;
+  for last = size - 1 downto 1 do
+    swap_packets c lo (lo + last);
+    sift c lo 0 last
+  done
+
+(* Index of [x] in the sorted, duplicate-free [a.(lo)] to [a.(hi - 1)],
+   which holds it. *)
+let rec search (a : int array) (x : int) lo hi =
+  let mid = (lo + hi) / 2 in
+  if a.(mid) < x then search a x (mid + 1) hi
+  else if a.(mid) > x then search a x lo mid
+  else mid
+
 let compile net packets =
-  let channels =
-    Array.of_list (List.sort Channel.compare (Topology.channels (Network.topology net)))
+  let topo = Network.topology net in
+  (* Links are dense, and each link's VCs are contiguous in
+     [Channel.compare] order: channel (l, v) is dense [base.(l) + v]. *)
+  let n_links = Topology.n_links topo in
+  let base = Array.make (n_links + 1) 0 in
+  for l = 0 to n_links - 1 do
+    base.(l + 1) <- base.(l) + Topology.vc_count topo (Ids.Link.of_int l)
+  done;
+  let n_channels = base.(n_links) in
+  let channels = Array.make n_channels (Channel.make (Ids.Link.of_int 0) 0) in
+  for l = 0 to n_links - 1 do
+    for v = 0 to base.(l + 1) - base.(l) - 1 do
+      channels.(base.(l) + v) <- Channel.make (Ids.Link.of_int l) v
+    done
+  done;
+  let index (ch : Channel.t) =
+    let l = Ids.Link.to_int ch.Channel.link and v = ch.Channel.vc in
+    if l < n_links && v >= 0 && v < base.(l + 1) - base.(l) then base.(l) + v
+    else
+      invalid_arg
+        (Format.asprintf "Engine.run: packet uses unknown channel %a" Channel.pp ch)
   in
-  let dense = Channel.Table.create (Array.length channels) in
-  Array.iteri (fun i c -> Channel.Table.replace dense c i) channels;
-  let index c =
-    match Channel.Table.find_opt dense c with
-    | Some i -> i
-    | None ->
-        invalid_arg
-          (Format.asprintf "Engine.run: packet uses unknown channel %a" Channel.pp c)
+  (* First pass, in input order: index every route, raising on the
+     first unknown channel, and note the first packet whose route
+     enters a channel twice.  A flit's hop would be ambiguous on such a
+     route; valid routes never have one ([Route.check_detailed]).  The
+     revisit is reported only once every route has been indexed.  Also
+     count the hops and the runs of consecutive packets of one flow. *)
+  let seen = Array.make n_channels (-1) in
+  let rec scan k hops runs prev revisit = function
+    | [] -> (k, hops, runs, revisit)
+    | (p : Packet.t) :: rest ->
+        let route = p.Packet.route in
+        if Array.length route = 0 then
+          invalid_arg (Printf.sprintf "Engine.run: packet %d has an empty route" p.Packet.id);
+        let revisit = ref revisit in
+        for i = 0 to Array.length route - 1 do
+          let c = index route.(i) in
+          if seen.(c) = k && Option.is_none !revisit then revisit := Some (p, c);
+          seen.(c) <- k
+        done;
+        let flow = Ids.Flow.to_int p.Packet.flow in
+        scan (k + 1)
+          (hops + Array.length route)
+          (if flow = prev then runs else runs + 1)
+          flow !revisit rest
   in
-  let routes =
-    List.map (fun (p : Packet.t) -> (p, Array.map index p.Packet.route)) packets
+  let n_packets, n_hops, n_runs, revisit = scan 0 0 0 (-1) None packets in
+  Option.iter
+    (fun ((p : Packet.t), c) ->
+      invalid_arg
+        (Format.asprintf "Engine.run: packet %d revisits channel %a" p.Packet.id
+           Channel.pp channels.(c)))
+    revisit;
+  (* Dense flows in id order: sort the flow of each run and drop
+     repeats.  Flow ids are non-negative, so -1 starts the first run. *)
+  let ids = Array.make n_runs 0 in
+  let rec fill_runs r prev = function
+    | [] -> ()
+    | (p : Packet.t) :: rest ->
+        let flow = Ids.Flow.to_int p.Packet.flow in
+        if flow = prev then fill_runs r prev rest
+        else begin
+          ids.(r) <- flow;
+          fill_runs (r + 1) flow rest
+        end
   in
-  (* A flit's hop would be ambiguous on a route that enters a channel
-     twice; valid routes never do ([Route.check_detailed]). *)
-  let seen = Array.make (Array.length channels) (-1) in
-  List.iteri
-    (fun k ((p : Packet.t), route) ->
-      Array.iter
-        (fun c ->
-          if seen.(c) = k then
-            invalid_arg
-              (Format.asprintf "Engine.run: packet %d revisits channel %a" p.Packet.id
-                 Channel.pp channels.(c));
-          seen.(c) <- k)
-        route)
-    routes;
-  (* Injection order: flows by id; within a flow, packets by
-     (inject_at, id), ties in reverse input order. *)
-  let by_flow = Hashtbl.create 64 in
-  List.iter
-    (fun (((p : Packet.t), _) as entry) ->
-      let k = Ids.Flow.to_int p.Packet.flow in
-      Hashtbl.replace by_flow k
-        (entry :: Option.value ~default:[] (Hashtbl.find_opt by_flow k)))
-    routes;
-  let sources =
-    Hashtbl.fold (fun k entries acc -> (k, entries) :: acc) by_flow []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map (fun (_, entries) ->
-           List.stable_sort
-             (fun ((a : Packet.t), _) ((b : Packet.t), _) ->
-               match Int.compare a.Packet.inject_at b.Packet.inject_at with
-               | 0 -> Int.compare a.Packet.id b.Packet.id
-               | c -> c)
-             entries)
-  in
-  let n_packets = List.length packets and n_flows = List.length sources in
-  let n_hops = List.fold_left (fun acc (_, route) -> acc + Array.length route) 0 routes in
+  fill_runs 0 (-1) packets;
+  Array.sort Int.compare ids;
+  let n_flows = ref 0 in
+  for r = 0 to n_runs - 1 do
+    if !n_flows = 0 || ids.(!n_flows - 1) <> ids.(r) then begin
+      ids.(!n_flows) <- ids.(r);
+      incr n_flows
+    end
+  done;
+  let n_flows = !n_flows in
+  let dense (p : Packet.t) = search ids (Ids.Flow.to_int p.Packet.flow) 0 n_flows in
   let c =
     {
       channels;
@@ -124,33 +208,45 @@ let compile net packets =
       first = Array.make n_packets 0;
       last = Array.make n_packets 0;
       flow_of = Array.make n_packets 0;
-      flows = Array.make n_flows (Ids.Flow.of_int 0);
+      flows = Array.init n_flows (fun f -> Ids.Flow.of_int ids.(f));
       flow_end = Array.make n_flows 0;
     }
   in
-  let p = ref 0 and hop = ref 0 in
-  List.iteri
-    (fun f entries ->
-      List.iter
-        (fun ((packet : Packet.t), route) ->
-          let k = !p in
-          c.flows.(f) <- packet.Packet.flow;
-          c.id.(k) <- packet.Packet.id;
-          c.length.(k) <- packet.Packet.length;
-          c.inject_at.(k) <- packet.Packet.inject_at;
-          c.flow_of.(k) <- f;
-          c.first.(k) <- !hop;
-          Array.iter
-            (fun ch ->
-              c.hop_channel.(!hop) <- ch;
-              c.hop_packet.(!hop) <- k;
-              incr hop)
-            route;
-          c.last.(k) <- !hop - 1;
-          incr p)
-        entries;
-      c.flow_end.(f) <- !p)
-    sources;
+  (* Group by flow in one counting pass: count, then place each packet
+     in its flow's block, filled from the block's end, and its route at
+     the next free hops.  [fill.(f)] ends at the start of flow [f]'s
+     block. *)
+  List.iter (fun p -> let f = dense p in c.flow_end.(f) <- c.flow_end.(f) + 1) packets;
+  for f = 1 to n_flows - 1 do
+    c.flow_end.(f) <- c.flow_end.(f) + c.flow_end.(f - 1)
+  done;
+  let fill = Array.copy c.flow_end in
+  let hop = ref 0 in
+  List.iter
+    (fun (p : Packet.t) ->
+      let f = dense p in
+      let k = fill.(f) - 1 in
+      fill.(f) <- k;
+      c.id.(k) <- p.Packet.id;
+      c.length.(k) <- p.Packet.length;
+      c.inject_at.(k) <- p.Packet.inject_at;
+      c.flow_of.(k) <- f;
+      c.first.(k) <- !hop;
+      let route = p.Packet.route in
+      for i = 0 to Array.length route - 1 do
+        c.hop_channel.(!hop) <- index route.(i);
+        incr hop
+      done;
+      c.last.(k) <- !hop - 1)
+    packets;
+  for f = 0 to n_flows - 1 do
+    sort_packets c fill.(f) (c.flow_end.(f) - fill.(f))
+  done;
+  for k = 0 to n_packets - 1 do
+    for h = c.first.(k) to c.last.(k) do
+      c.hop_packet.(h) <- k
+    done
+  done;
   c
 
 (* FIFO storage starts at [fifo_slots] flits, or fewer when the buffer

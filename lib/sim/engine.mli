@@ -13,17 +13,21 @@
     together with a waits-for cycle certificate.  That is the
     behavioural ground truth the paper's static analysis predicts.
 
-    {b Compiled runs.}  {!run} first compiles its input once: channels
-    become dense ints in {!Noc_model.Channel.compare} order (the fixed
-    service order), each packet's route an int array, and the packets
-    one array in injection order.  The cycle loop then steps over flat
+    {b Compiled runs.}  {!run} first compiles its input once, without
+    hashing.  Channels become dense ints in {!Noc_model.Channel.compare}
+    order (the fixed service order): a channel's index is its link's
+    VC offset plus its VC.  Every route is copied once into one int
+    array of hops, and the packets become flat arrays in injection
+    order, grouped by flow in one counting pass and then sorted in
+    place within each flow.  Beyond those arrays the compile allocates
+    nothing per packet.  The cycle loop then steps over flat
     arrays: channel FIFOs are ring buffers of (route position, flit,
     ready cycle), so a hop reads its next channel without searching
     the route; "a flit entered this cycle" is a per-channel cycle
     stamp; and the in-network flit count is kept as flits enter and
-    leave.  Compilation costs O(route hops) plus the sort of the
-    packets; a cycle costs O(channels + flows) plus O(1) per flit
-    moved.
+    leave.  Compilation costs O(hops + packets) plus the in-place
+    sorts of the flows and of each flow's packets; a cycle costs
+    O(channels + flows) plus O(1) per flit moved.
 
     {b Listeners.}  {!Trace} events are built only when [on_event] is
     given; without it a run allocates nothing per hop.  With it, every
@@ -88,6 +92,6 @@ val run :
     counters (flits injected and ejected) and, on a deadlock, bumps
     [noc_sim_deadlocks_total].
     @raise Invalid_argument when a packet references an unknown
-    channel, or a route enters the same channel twice. *)
+    channel, has an empty route, or enters the same channel twice. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -12,9 +12,9 @@ type flit = { packet : t; index : int }
 
 let make ~id ~flow ~route ~length ~inject_at =
   if length < 1 then invalid_arg "Packet.make: length < 1";
-  if route = [] then invalid_arg "Packet.make: empty route";
+  if Array.length route = 0 then invalid_arg "Packet.make: empty route";
   if inject_at < 0 then invalid_arg "Packet.make: negative injection cycle";
-  { id; flow; route = Array.of_list route; length; inject_at }
+  { id; flow; route; length; inject_at }
 
 let flits t = List.init t.length (fun index -> { packet = t; index })
 let is_head f = f.index = 0

@@ -16,9 +16,12 @@ type flit = {
 }
 
 val make :
-  id:int -> flow:Ids.Flow.t -> route:Channel.t list -> length:int ->
+  id:int -> flow:Ids.Flow.t -> route:Channel.t array -> length:int ->
   inject_at:int -> t
-(** @raise Invalid_argument when [length < 1], the route is empty, or
+(** The packet keeps [route] itself, not a copy, so the packets of one
+    flow can share their flow's route.  Callers must not mutate it
+    afterwards.
+    @raise Invalid_argument when [length < 1], the route is empty, or
     [inject_at < 0]. *)
 
 val flits : t -> flit list

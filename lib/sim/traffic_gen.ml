@@ -5,7 +5,7 @@ let routed_flows net =
     (fun (f : Traffic.flow) ->
       match Network.route net f.Traffic.id with
       | [] -> None
-      | route -> Some (f.Traffic.id, route))
+      | route -> Some (f.Traffic.id, Array.of_list route))
     (Traffic.flows (Network.traffic net))
 
 let generate net ~packet_length ~packets_per_flow ~inject_cycle =

@@ -13,19 +13,19 @@ let ch = Fixtures.ch
 (* ------------------------------------------------------------------ *)
 
 let test_packet_make_checks () =
-  let route = [ ch 0 ] in
+  let route = [| ch 0 |] in
   Alcotest.check_raises "length" (Invalid_argument "Packet.make: length < 1")
     (fun () ->
       ignore (Packet.make ~id:0 ~flow:(Fixtures.fl 0) ~route ~length:0 ~inject_at:0));
   Alcotest.check_raises "route" (Invalid_argument "Packet.make: empty route")
     (fun () ->
-      ignore (Packet.make ~id:0 ~flow:(Fixtures.fl 0) ~route:[] ~length:1 ~inject_at:0));
+      ignore (Packet.make ~id:0 ~flow:(Fixtures.fl 0) ~route:[||] ~length:1 ~inject_at:0));
   Alcotest.check_raises "time"
     (Invalid_argument "Packet.make: negative injection cycle") (fun () ->
       ignore (Packet.make ~id:0 ~flow:(Fixtures.fl 0) ~route ~length:1 ~inject_at:(-1)))
 
 let test_packet_flits () =
-  let p = Packet.make ~id:1 ~flow:(Fixtures.fl 0) ~route:[ ch 0 ] ~length:3 ~inject_at:0 in
+  let p = Packet.make ~id:1 ~flow:(Fixtures.fl 0) ~route:[| ch 0 |] ~length:3 ~inject_at:0 in
   let flits = Packet.flits p in
   check int_c "three flits" 3 (List.length flits);
   (match flits with
@@ -36,7 +36,7 @@ let test_packet_flits () =
     (Packet.is_head (List.nth flits 1) || Packet.is_tail (List.nth flits 1))
 
 let test_single_flit_packet_is_head_and_tail () =
-  let p = Packet.make ~id:1 ~flow:(Fixtures.fl 0) ~route:[ ch 0 ] ~length:1 ~inject_at:0 in
+  let p = Packet.make ~id:1 ~flow:(Fixtures.fl 0) ~route:[| ch 0 |] ~length:1 ~inject_at:0 in
   match Packet.flits p with
   | [ f ] -> check bool_c "both" true (Packet.is_head f && Packet.is_tail f)
   | _ -> Alcotest.fail "expected one flit"
@@ -145,7 +145,7 @@ let one_link_net () =
 
 let test_engine_single_packet () =
   let net, f, _ = one_link_net () in
-  let p = Packet.make ~id:0 ~flow:f ~route:(Network.route net f) ~length:4 ~inject_at:0 in
+  let p = Packet.make ~id:0 ~flow:f ~route:(Array.of_list (Network.route net f)) ~length:4 ~inject_at:0 in
   match Engine.run net [ p ] with
   | Engine.Completed s ->
       check int_c "delivered" 1 s.Stats.delivered;
@@ -157,7 +157,7 @@ let test_engine_single_packet () =
 
 let test_engine_respects_inject_at () =
   let net, f, _ = one_link_net () in
-  let p = Packet.make ~id:0 ~flow:f ~route:(Network.route net f) ~length:1 ~inject_at:50 in
+  let p = Packet.make ~id:0 ~flow:f ~route:(Array.of_list (Network.route net f)) ~length:1 ~inject_at:50 in
   match Engine.run net [ p ] with
   | Engine.Completed s ->
       check bool_c "waits for injection time" true (s.Stats.cycles >= 50)
@@ -167,7 +167,7 @@ let test_engine_wormhole_blocking () =
   (* Two packets on the same single-channel route: strictly serialized
      because the channel is owned until the tail passes. *)
   let net, f, _ = one_link_net () in
-  let route = Network.route net f in
+  let route = Array.of_list (Network.route net f) in
   let p1 = Packet.make ~id:0 ~flow:f ~route ~length:6 ~inject_at:0 in
   let p2 = Packet.make ~id:1 ~flow:f ~route ~length:6 ~inject_at:0 in
   match Engine.run net [ p1; p2 ] with
@@ -179,7 +179,7 @@ let test_engine_wormhole_blocking () =
 let test_engine_unknown_channel_rejected () =
   let net, f, _ = one_link_net () in
   let bogus = Channel.make (Fixtures.lk 0) 3 in
-  let p = Packet.make ~id:0 ~flow:f ~route:[ bogus ] ~length:1 ~inject_at:0 in
+  let p = Packet.make ~id:0 ~flow:f ~route:[| bogus |] ~length:1 ~inject_at:0 in
   Alcotest.check_raises "unknown channel"
     (Invalid_argument "Engine.run: packet uses unknown channel L0'3") (fun () ->
       ignore (Engine.run net [ p ]))
@@ -195,7 +195,7 @@ let test_engine_revisiting_route_rejected () =
   let net =
     Network.make ~topology:topo ~traffic ~mapping:(fun c -> sw (Ids.Core.to_int c))
   in
-  let route = [ Channel.make l0 0; Channel.make l1 0; Channel.make l0 0 ] in
+  let route = [| Channel.make l0 0; Channel.make l1 0; Channel.make l0 0 |] in
   let p = Packet.make ~id:0 ~flow:f ~route ~length:2 ~inject_at:0 in
   Alcotest.check_raises "revisit"
     (Invalid_argument "Engine.run: packet 0 revisits channel L0") (fun () ->
@@ -245,6 +245,15 @@ let test_engine_negative_vc_is_unknown () =
   Alcotest.check_raises "undeclared link"
     (Invalid_argument "Engine.run: packet uses unknown channel L2") (fun () ->
       ignore (Engine.run net [ record_packet ~id:0 ~flow:0 [| ch 2 |] ]))
+
+(* [Packet.make] refuses an empty route, but a record can carry one;
+   its packet would have no first hop to inject into. *)
+let test_engine_empty_route_rejected () =
+  let net, c0, _ = two_link_ring () in
+  let empty = record_packet ~id:3 ~flow:0 [||] in
+  Alcotest.check_raises "empty route"
+    (Invalid_argument "Engine.run: packet 3 has an empty route") (fun () ->
+      ignore (Engine.run net [ record_packet ~id:0 ~flow:0 [| c0 |]; empty ]))
 
 let test_engine_empty_workload () =
   let net, _, _ = one_link_net () in
@@ -308,7 +317,7 @@ let test_short_packets_escape_ring () =
 
 let test_channel_utilization () =
   let net, f, l = one_link_net () in
-  let p = Packet.make ~id:0 ~flow:f ~route:(Network.route net f) ~length:4 ~inject_at:0 in
+  let p = Packet.make ~id:0 ~flow:f ~route:(Array.of_list (Network.route net f)) ~length:4 ~inject_at:0 in
   match Engine.run net [ p ] with
   | Engine.Completed s ->
       let c = Channel.make l 0 in
@@ -345,7 +354,7 @@ let test_router_latency_slows_delivery () =
   let run latency =
     let net, f, _ = one_link_net () in
     let p =
-      Packet.make ~id:0 ~flow:f ~route:(Network.route net f) ~length:4 ~inject_at:0
+      Packet.make ~id:0 ~flow:f ~route:(Array.of_list (Network.route net f)) ~length:4 ~inject_at:0
     in
     let config = { Engine.default_config with Engine.router_latency = latency } in
     match Engine.run ~config net [ p ] with
@@ -361,7 +370,7 @@ let test_router_latency_no_false_deadlock () =
      a deadlock (the watchdog auto-scales). *)
   let net, f, _ = one_link_net () in
   let p =
-    Packet.make ~id:0 ~flow:f ~route:(Network.route net f) ~length:2 ~inject_at:0
+    Packet.make ~id:0 ~flow:f ~route:(Array.of_list (Network.route net f)) ~length:2 ~inject_at:0
   in
   let config =
     { Engine.default_config with Engine.router_latency = 100; stall_threshold = 8 }
@@ -377,7 +386,7 @@ let test_engine_timeout_path () =
   let net, f, _ = one_link_net () in
   let packets =
     List.init 50 (fun i ->
-        Packet.make ~id:i ~flow:f ~route:(Network.route net f) ~length:8
+        Packet.make ~id:i ~flow:f ~route:(Array.of_list (Network.route net f)) ~length:8
           ~inject_at:0)
   in
   let config = { Engine.default_config with Engine.max_cycles = 20 } in
@@ -391,7 +400,7 @@ let test_engine_timeout_path () =
 let test_outcome_printers () =
   (* pp smoke tests: every outcome constructor renders. *)
   let net, f, _ = one_link_net () in
-  let p = Packet.make ~id:0 ~flow:f ~route:(Network.route net f) ~length:2 ~inject_at:0 in
+  let p = Packet.make ~id:0 ~flow:f ~route:(Array.of_list (Network.route net f)) ~length:2 ~inject_at:0 in
   let done_ = Engine.run net [ p ] in
   check bool_c "completed renders" true
     (String.length (Format.asprintf "%a" Engine.pp_outcome done_) > 0);
@@ -438,7 +447,7 @@ let test_engine_emits_spans_and_counters () =
     Fun.protect ~finally:Noc_obs.Trace.uninstall (fun () ->
         let net, f, _ = one_link_net () in
         let p =
-          Packet.make ~id:0 ~flow:f ~route:(Network.route net f) ~length:4
+          Packet.make ~id:0 ~flow:f ~route:(Array.of_list (Network.route net f)) ~length:4
             ~inject_at:0
         in
         Engine.run net [ p ])
@@ -731,7 +740,7 @@ let sim_case_of_seed seed =
             List.init (1 + Random.State.int st 4) (fun _ ->
                 let id = if repeat_ids then Random.State.int st 4 else !next_id in
                 incr next_id;
-                Packet.make ~id ~flow:f.Traffic.id ~route
+                Packet.make ~id ~flow:f.Traffic.id ~route:(Array.of_list route)
                   ~length:(1 + Random.State.int st 8)
                   ~inject_at:(Random.State.int st 30)))
       (Traffic.flows (Network.traffic net))
@@ -882,6 +891,7 @@ let () =
           tc "unknown channel before revisit" test_engine_unknown_channel_before_revisit;
           tc "first revisit in input order" test_engine_first_revisit_in_input_order;
           tc "negative VC is unknown" test_engine_negative_vc_is_unknown;
+          tc "empty route rejected" test_engine_empty_route_rejected;
           tc "empty workload" test_engine_empty_workload;
         ] );
       ( "engine_deadlock",
