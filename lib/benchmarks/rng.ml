@@ -10,25 +10,32 @@ type t = int64
 let make seed = Int64.of_int seed
 
 (* SplitMix64 (Steele, Lea, Flood 2014): tiny, fast, and excellent
-   stream quality for this purpose. *)
-let next state =
-  let state = Int64.add state 0x9E3779B97F4A7C15L in
-  let z = state in
+   stream quality for this purpose.  A step adds the golden gamma to
+   the state and mixes the result.  [int] and [float] step inline, so
+   the mixed value stays unboxed and a draw allocates only its result
+   and the successor state; [next] returns the raw value boxed. *)
+let gamma = 0x9E3779B97F4A7C15L
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  (Int64.logxor z (Int64.shift_right_logical z 31), state)
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+let next state =
+  let state = Int64.add state gamma in
+  (mix state, state)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
-  let raw, t = next t in
+  let t = Int64.add t gamma in
   (* Keep 62 bits so the value stays non-negative in OCaml's 63-bit
      native int. *)
-  let v = Int64.to_int (Int64.shift_right_logical raw 2) in
+  let v = Int64.to_int (Int64.shift_right_logical (mix t) 2) in
   (v mod bound, t)
 
 let float t x =
-  let raw, t = next t in
-  let v = Int64.to_float (Int64.shift_right_logical raw 11) in
+  let t = Int64.add t gamma in
+  let v = Int64.to_float (Int64.shift_right_logical (mix t) 11) in
   (x *. v /. 9007199254740992.0 (* 2^53 *), t)
 
 let pick t arr =
