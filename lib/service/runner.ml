@@ -123,31 +123,36 @@ let run_simulate ~prepare ~workload ~buffer_depth ~max_cycles net =
         ("prepare", Noc_obs.Trace.Str (Job.prepare_name prepare));
       ]
   @@ fun _span ->
-  let* prep_metrics =
+  (* Removal's report already says its CDG is acyclic; the other
+     preparations build the CDG to find out.  The simulator stays the
+     independent check of removal's verdict. *)
+  let* prep_metrics, cdg_cyclic =
     match prepare with
-    | Job.As_is -> Ok [ ("vcs_added", 0.) ]
+    | Job.As_is ->
+        Ok ([ ("vcs_added", 0.) ], not (Noc_deadlock.Removal.is_deadlock_free net))
     | Job.Removal_first ->
         let report = Noc_deadlock.Removal.run net in
         if not report.Noc_deadlock.Removal.deadlock_free then
           Error "removal hit its iteration cap"
         else
           Ok
-            [
-              ( "vcs_added",
-                float_of_int report.Noc_deadlock.Removal.vcs_added );
-            ]
+            ( [
+                ( "vcs_added",
+                  float_of_int report.Noc_deadlock.Removal.vcs_added );
+              ],
+              false )
     | Job.Ordering_first ->
         let report =
           Noc_deadlock.Resource_ordering.apply
             ~strategy:Noc_deadlock.Resource_ordering.Hop_index net
         in
         Ok
-          [
-            ( "vcs_added",
-              float_of_int report.Noc_deadlock.Resource_ordering.vcs_added );
-          ]
+          ( [
+              ( "vcs_added",
+                float_of_int report.Noc_deadlock.Resource_ordering.vcs_added );
+            ],
+            not (Noc_deadlock.Removal.is_deadlock_free net) )
   in
-  let cdg_cyclic = not (Noc_deadlock.Removal.is_deadlock_free net) in
   let packets = Noc_benchmarks.Workloads.generate net workload in
   let config =
     { Noc_sim.Engine.default_config with buffer_depth; max_cycles }
