@@ -267,7 +267,10 @@ let handle_submit t conn ~id ?corr job =
                   (match corr with
                   | None -> []
                   | Some c -> [ ("corr", Noc_obs.Trace.Str c) ]))
-              @@ fun _sp ->
+              @@ fun sp ->
+              (* The words this worker's domain allocates for the job:
+                 [Gc.minor_words] counts the calling domain only. *)
+              let words = Gc.minor_words () in
               let outcome = Runner.execute job in
               (match t.config.store with
               | Some store when Outcome.is_done outcome ->
@@ -277,7 +280,9 @@ let handle_submit t conn ~id ?corr job =
                 outcome;
               Atomic.decr t.inflight;
               Atomic.decr conn.pending;
-              wake t
+              wake t;
+              Noc_obs.Trace.add_attr sp "words"
+                (Noc_obs.Trace.Int (int_of_float (Gc.minor_words () -. words)))
             in
             t.config.telemetry.Noc_obs.Sink.emit
               (Telemetry.job_submitted ?corr ~index:id ~job ~queue_depth:depth

@@ -1593,6 +1593,37 @@ let test_server_warm_restart_starts_no_worker () =
       check int_c "replies" (List.length jobs) (List.length replies);
       check int_c "pool.worker spans" 0 (List.length workers))
 
+(* A miss's [serve.job] span carries the words its worker allocated. *)
+let test_server_job_span_counts_words () =
+  with_temp_dir (fun dir ->
+      let job =
+        {
+          Job.design =
+            Job.Benchmark
+              { name = "D26_media"; n_switches = 8; max_degree = Job.default_max_degree };
+          method_ = Job.simulate Noc_benchmarks.Workloads.default_uniform;
+        }
+      in
+      let collector = Noc_obs.Trace.create () in
+      Noc_obs.Trace.install collector;
+      let replies =
+        Fun.protect ~finally:Noc_obs.Trace.uninstall (fun () -> serve_once ~dir [ job ])
+      in
+      (match replies with
+      | [ Wire.Result { cached = false; _ } ] -> ()
+      | _ -> Alcotest.fail "expected one cold result");
+      let jobs =
+        List.filter
+          (fun (s : Noc_obs.Trace.completed) -> s.Noc_obs.Trace.name = "serve.job")
+          (Noc_obs.Trace.completed_spans collector)
+      in
+      match jobs with
+      | [ s ] -> (
+          match List.assoc_opt "words" s.Noc_obs.Trace.attrs with
+          | Some (Noc_obs.Trace.Int words) -> check bool_c "words above 0" true (words > 0)
+          | _ -> Alcotest.fail "serve.job has no integer words attribute")
+      | spans -> Alcotest.failf "%d serve.job spans, want 1" (List.length spans))
+
 (* The socket path appears only once the daemon listens, so a client
    that connects the moment the path exists is never refused.  The
    client spins on the path to land as close to the bind as it can. *)
@@ -1723,6 +1754,8 @@ let () =
             test_server_socket_ready_when_path_appears;
           Alcotest.test_case "warm restart starts no worker" `Quick
             test_server_warm_restart_starts_no_worker;
+          Alcotest.test_case "job span counts its words" `Quick
+            test_server_job_span_counts_words;
         ] );
       ( "batch",
         [
