@@ -859,6 +859,54 @@ let test_golden_sim_edge_cells () =
   check Alcotest.string "single-flit buffers" "30e21f226da09e1acb08655714f5dbfb" (golden_digest depth_one);
   check Alcotest.string "cycle cap" "16a7243778c40a258bdee2d146d297ce" (golden_digest capped)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Words allocated by [f ()]: minor plus major, less the promoted words
+   the major count already holds.  On OCaml 5.1 these counters settle
+   only at a collection, hence the minor collection before each
+   reading. *)
+let allocated_words f =
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  let r = f () in
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  let d field = field s1 -. field s0 in
+  ( r,
+    d (fun s -> s.Gc.minor_words)
+    +. d (fun s -> s.Gc.major_words)
+    -. d (fun s -> s.Gc.promoted_words) )
+
+(* D36_8 at 14 switches after removal, under the default uniform
+   workload: 2,947 packets.  Per packet, generating them once took 38
+   words and simulating them 60 while every packet copied its route and
+   the engine's compile hashed; sharing each flow's route array and an
+   unboxed random draw bring generation to about 25, and the hash-free
+   compile brings the run to about 13.  Each budget sits between. *)
+let test_simulate_allocation_budgets () =
+  let spec = Option.get (Noc_benchmarks.Registry.find "D36_8") in
+  let net = Noc_synth.Custom.synthesize_exn (spec.Noc_benchmarks.Spec.build ()) ~n_switches:14 in
+  ignore (Noc_deadlock.Removal.run net);
+  let packets, generate_words =
+    allocated_words (fun () ->
+        Noc_benchmarks.Workloads.generate net Noc_benchmarks.Workloads.default_uniform)
+  in
+  let n = List.length packets in
+  check int_c "packets" 2947 n;
+  let _, engine_words = allocated_words (fun () -> Engine.run net packets) in
+  let over =
+    List.filter_map
+      (fun (name, words, budget) ->
+        let per_packet = words /. float_of_int n in
+        if per_packet > budget then
+          Some (Printf.sprintf "%s: %.1f words per packet, budget %g" name per_packet budget)
+        else None)
+      [ ("Workloads.generate", generate_words, 32.); ("Engine.run", engine_words, 30.) ]
+  in
+  if over <> [] then Alcotest.fail (String.concat "; " over)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "noc_sim"
@@ -922,6 +970,7 @@ let () =
           tc "route order checker" test_trace_route_order_checker;
         ] );
       ("properties", qcheck_cases);
+      ("allocation", [ tc "simulate budgets" test_simulate_allocation_budgets ]);
       ( "golden",
         [
           tc "sim-campaign grid" test_golden_sim_campaign_grid;
