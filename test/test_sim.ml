@@ -865,13 +865,14 @@ let test_golden_sim_edge_cells () =
 
 (* Words allocated by [f ()]: minor plus major, less the promoted words
    the major count already holds.  On OCaml 5.1 these counters settle
-   only at a collection, hence the minor collection before each
-   reading. *)
+   only at a collection: the minor ones at a minor collection, and a
+   block allocated straight in the major heap only at a major slice.
+   Hence a full collection before each reading. *)
 let allocated_words f =
-  Gc.minor ();
+  Gc.full_major ();
   let s0 = Gc.quick_stat () in
   let r = f () in
-  Gc.minor ();
+  Gc.full_major ();
   let s1 = Gc.quick_stat () in
   let d field = field s1 -. field s0 in
   ( r,
