@@ -127,18 +127,21 @@ serve-smoke: build
 	echo "serve-smoke: OK (cold run, inline admission, clean drain, 100% warm restart, 100% warm after kill -9, warm daemons start no worker)"
 
 # The live-telemetry smoke test, mirroring the metrics-smoke CI job in
-# miniature: boot the daemon with a Prometheus listener, do some work
-# with a known correlation prefix, and require (a) the scrape to pass
-# the strict exposition check (`top --raw` validates before printing),
-# (b) the job counter to count the work, (c) every SLO gauge green,
-# and (d) one rendered `top` dashboard frame.
+# miniature: boot the daemon with a Prometheus listener and a trace,
+# do some work with a known correlation prefix, and require (a) the
+# scrape to pass the strict exposition check (`top --raw` validates
+# before printing), (b) the job counter to count the work, (c) every
+# SLO gauge green, (d) one rendered `top` dashboard frame, and (e) a
+# drained trace that lints clean, ends 12 serve.submit spans carrying
+# the prefix, and holds no other correlation id.
 top-smoke: build
 	@set -e; \
 	dir="$$(mktemp -d)"; \
 	trap 'rm -rf "$$dir"' EXIT; \
 	noc="$$(pwd)/_build/default/bin/noc_tool.exe"; \
 	sock="$$dir/serve.sock"; \
-	"$$noc" serve --socket "$$sock" --metrics-addr 9469 -j 2 --no-store & \
+	"$$noc" serve --socket "$$sock" --metrics-addr 9469 -j 2 --no-store \
+	  --trace "$$dir/trace.jsonl" & \
 	server=$$!; \
 	for i in $$(seq 1 100); do [ -S "$$sock" ] && break; sleep 0.1; done; \
 	[ -S "$$sock" ]; \
@@ -151,7 +154,15 @@ top-smoke: build
 	"$$noc" top --socket "$$sock" --once > "$$dir/top.txt"; \
 	grep -q 'workers' "$$dir/top.txt"; \
 	kill -TERM "$$server"; wait "$$server"; \
-	echo "top-smoke: OK (scrape parses, counters live, SLOs green)"
+	"$$noc" lint "$$dir/trace.jsonl" > /dev/null; \
+	submits="$$(grep '"event":"span_end","name":"serve.submit"' "$$dir/trace.jsonl" \
+	  | grep -c '"corr":"top-smoke-' || true)"; \
+	[ "$$submits" -eq 12 ] \
+	  || { echo "top-smoke: $$submits serve.submit spans carry top-smoke-*, want 12"; exit 1; }; \
+	if grep -o '"corr":"[^"]*"' "$$dir/trace.jsonl" | grep -qv '"corr":"top-smoke-'; then \
+	  echo "top-smoke: a correlation id without the top-smoke prefix"; exit 1; \
+	fi; \
+	echo "top-smoke: OK (scrape parses, counters live, SLOs green, 12 correlated serve.submit spans)"
 
 # The simulation smoke test, mirroring the sim-smoke CI job: sweep the
 # default campaign grid (2 benchmarks x 4 workloads x 3 preparations)

@@ -126,6 +126,18 @@ let write_trace ~format ~output collector =
         | exception Sys_error e -> or_die (Error e))
   in
   match format with
+  | Jsonl -> (
+      let lines = Noc_obs.Export.jsonl ~metrics collector in
+      match output with
+      | None ->
+          List.iter
+            (fun l ->
+              output_string stdout (Noc_json.Json.to_string l);
+              output_char stdout '\n')
+            lines
+      | Some path -> (
+          try Noc_obs.Export.write_jsonl path lines
+          with Sys_error e -> or_die (Error e)))
   | Summary ->
       with_out (fun oc ->
           let ppf = Format.formatter_of_out_channel oc in
@@ -138,13 +150,6 @@ let write_trace ~format ~output collector =
             (Noc_json.Json.to_string_pretty
                (Noc_obs.Export.chrome ~metrics collector));
           output_char oc '\n')
-  | Jsonl ->
-      with_out (fun oc ->
-          List.iter
-            (fun l ->
-              output_string oc (Noc_obs.Sink.line l);
-              output_char oc '\n')
-            (Noc_obs.Export.jsonl ~metrics collector))
 
 let trace_file_arg =
   Arg.(value
@@ -932,13 +937,6 @@ let batch_cmd =
              ~doc:"Worker domains. 1 runs jobs inline; more spreads them \
                    over a domain pool without changing any result.")
   in
-  let telemetry_arg =
-    Arg.(value
-         & opt (some string) None
-         & info [ "telemetry" ] ~docv:"FILE"
-             ~doc:"Append one JSON line per event (job submitted / started / \
-                   finished, batch summary) to $(docv).")
-  in
   let cache_arg =
     Arg.(value & opt int 1024
          & info [ "cache-size" ]
@@ -972,26 +970,18 @@ let batch_cmd =
       ~outcome:r.Noc_service.Batch.outcome
       ~marker:(if r.Noc_service.Batch.cache_hit then "  (cache hit)" else "")
   in
-  let run () jobs_file domains telemetry cache_size timeout_ms fail_fast
-      no_lint trace =
+  let run () jobs_file domains cache_size timeout_ms fail_fast no_lint
+      trace =
     let open Noc_service in
     if domains < 1 then or_die (Error "--domains must be at least 1");
     if cache_size < 0 then or_die (Error "--cache-size must be >= 0");
     let jobs = or_die (load_jobs jobs_file) in
-    let sink =
-      match telemetry with
-      | None -> Noc_obs.Sink.null
-      | Some path -> (
-          try Noc_obs.Sink.to_file path
-          with Sys_error e -> or_die (Error e))
-    in
     let config =
       {
         Batch.domains;
         cache =
           (if cache_size = 0 then None
            else Some (Result_cache.create ~capacity:cache_size));
-        telemetry = sink;
         timeout_ms;
         fail_fast;
         lint = not no_lint;
@@ -1017,9 +1007,8 @@ let batch_cmd =
               Results are bit-identical for any $(b,--domains) setting.";
            `P "Exits 1 on an unusable job file, 2 when any job fails.";
          ])
-    Term.(const run $ logs_term $ jobs_file_arg $ domains_arg $ telemetry_arg
-          $ cache_arg $ timeout_arg $ fail_fast_arg $ no_lint_arg
-          $ trace_file_arg)
+    Term.(const run $ logs_term $ jobs_file_arg $ domains_arg $ cache_arg
+          $ timeout_arg $ fail_fast_arg $ no_lint_arg $ trace_file_arg)
 
 (* The persistent service ------------------------------------------- *)
 
@@ -1080,13 +1069,6 @@ let serve_cmd =
          & info [ "store-capacity" ]
              ~doc:"Maximum objects kept on disk before LRU eviction.")
   in
-  let telemetry_arg =
-    Arg.(value
-         & opt (some string) None
-         & info [ "telemetry" ] ~docv:"FILE"
-             ~doc:"Write one JSON line per event (connections, jobs, drain) \
-                   to $(docv) on shutdown (atomic temp-plus-rename).")
-  in
   let no_lint_arg =
     Arg.(value & flag
          & info [ "no-lint" ]
@@ -1102,7 +1084,7 @@ let serve_cmd =
                    gauges) on 127.0.0.1:$(docv).")
   in
   let run () socket tcp metrics_addr domains queue store no_store
-      store_capacity telemetry no_lint slo_overrides trace =
+      store_capacity no_lint slo_overrides trace =
     let open Noc_service in
     if domains < 1 then or_die (Error "--domains must be at least 1");
     if queue < 1 then or_die (Error "--queue-capacity must be at least 1");
@@ -1118,12 +1100,6 @@ let serve_cmd =
             or_die
               (Error (Printf.sprintf "%s: %s" arg (Unix.error_message e)))
     in
-    let sink =
-      match telemetry with
-      | None -> Noc_obs.Sink.null
-      | Some path -> (
-          try Noc_obs.Sink.to_file path with Sys_error e -> or_die (Error e))
-    in
     let config =
       {
         Server.socket_path = socket;
@@ -1132,7 +1108,6 @@ let serve_cmd =
         domains;
         queue_capacity = queue;
         store;
-        telemetry = sink;
         lint = not no_lint;
         slos = apply_slo_overrides slo_overrides;
       }
@@ -1179,14 +1154,14 @@ let serve_cmd =
               backpressure, and streams results as they complete.";
            `P
              "SIGTERM or SIGINT drains gracefully: stop accepting, finish \
-              in-flight jobs, flush telemetry, trace and the store index, \
+              in-flight jobs, flush the trace and the store index, \
               exit 0.  See docs/SERVICE.md for the wire protocol and \
               store layout, docs/OBSERVABILITY.md for the metrics \
               endpoint and SLOs.";
          ])
     Term.(const run $ logs_term $ socket_arg $ tcp_arg $ metrics_addr_arg
           $ domains_arg $ queue_arg $ store_arg $ no_store_arg
-          $ store_capacity_arg $ telemetry_arg $ no_lint_arg $ slo_arg
+          $ store_capacity_arg $ no_lint_arg $ slo_arg
           $ trace_file_arg)
 
 let submit_cmd =
@@ -1196,8 +1171,8 @@ let submit_cmd =
          & info [ "corr" ] ~docv:"PREFIX"
              ~doc:"Correlation-id prefix: job $(i,i) is submitted with \
                    correlation id $(docv)-$(i,i), which the daemon threads \
-                   into its telemetry events and job spans. Defaults to \
-                   $(b,submit-<pid>).")
+                   into its serve.submit and serve.job trace spans. \
+                   Defaults to $(b,submit-<pid>).")
   in
   let run () jobs_file socket corr =
     let open Noc_service in
@@ -1270,8 +1245,8 @@ let submit_cmd =
               marking results served from the daemon's persistent store.";
            `P
              "Every job carries a correlation id ($(b,--corr) prefix plus \
-              its index), so one submission is traceable across the wire, \
-              the daemon's telemetry JSONL and its trace spans.";
+              its index), so one submission is traceable across the wire \
+              and the daemon's trace spans ($(b,serve --trace)).";
            `P
              "Exits 1 on an unusable job file or unreachable daemon, 2 \
               when any job fails, is rejected or is shed as overloaded.";

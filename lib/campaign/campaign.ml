@@ -1,6 +1,6 @@
 (* A campaign is a grid of Simulate jobs plus the machinery to run it
    at fleet scale: jobs flow through the ordinary batch engine (so the
-   lint gate, the result cache, telemetry and obs spans all apply),
+   lint gate, the result cache and the batch.* trace spans all apply),
    warm results are served from the persistent store and fresh ones
    written back, and the finished cells are checked against the paper's
    behavioural claim — an acyclic CDG never deadlocks; an unprotected
@@ -85,7 +85,6 @@ let run ?(on_cell = fun (_ : cell) -> ()) config jobs =
       {
         Batch.domains = config.domains;
         cache = Some (Result_cache.create ~capacity:(max 1 (List.length jobs)));
-        telemetry = Noc_obs.Sink.null;
         timeout_ms = None;
         fail_fast = false;
         lint = config.lint;

@@ -1,4 +1,4 @@
-(* Minimal JSON: the value type shared by job files, telemetry lines
+(* Minimal JSON: the value type shared by job files, trace lines
    and bench reports, with a hand-written parser/printer.  No JSON
    library ships in the toolchain here, so the subset needed (objects,
    arrays, strings, numbers, booleans, null) is implemented directly.
@@ -289,10 +289,6 @@ let to_int v =
   let f = to_num v in
   if Float.is_integer f then int_of_float f
   else raise (Parse_error "expected an integer")
-
-let to_bool = function
-  | Bool b -> b
-  | _ -> raise (Parse_error "expected a boolean")
 
 let to_list = function
   | Arr items -> items

@@ -1,6 +1,6 @@
 (** Minimal JSON values — the lingua franca of the batch service: job
-    files ([jobs.json]), telemetry lines (JSONL) and bench reports all
-    speak it.  Hand-written printer and parser (no JSON dependency in
+    files ([jobs.json]), trace lines ([noc-trace/1] JSONL) and bench
+    reports all speak it.  Hand-written printer and parser (no JSON dependency in
     the toolchain); [of_string] inverts both {!to_string} and
     {!to_string_pretty}. *)
 
@@ -39,9 +39,6 @@ val to_num : t -> float
 
 val to_int : t -> int
 (** @raise Parse_error unless an integral [Num]. *)
-
-val to_bool : t -> bool
-(** @raise Parse_error unless [Bool]. *)
 
 val to_list : t -> t list
 (** @raise Parse_error unless [Arr]. *)

@@ -105,9 +105,24 @@ let jsonl ?(metrics = []) c =
   in
   (header :: List.map line events) @ List.map metric_line metrics
 
-let to_sink (sink : Sink.t) lines =
-  List.iter sink.Sink.emit lines;
-  sink.Sink.close ()
+(* Write to a temporary file in the destination's directory and rename
+   it into place: the rename is atomic on POSIX (same filesystem), so
+   [path] holds either the whole stream or nothing. *)
+let write_jsonl path lines =
+  let tmp =
+    Filename.temp_file ~temp_dir:(Filename.dirname path)
+      (Filename.basename path) ".tmp"
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_text tmp (fun oc ->
+          List.iter
+            (fun l ->
+              output_string oc (Json.to_string l);
+              output_char oc '\n')
+            lines);
+      Sys.rename tmp path)
 
 (* Summary ----------------------------------------------------------- *)
 

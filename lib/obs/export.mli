@@ -8,9 +8,9 @@
     - {!jsonl}: the [noc-trace/1] JSONL stream — a schema header line,
       one [span_begin]/[span_end] line per event (timestamps in
       nanoseconds relative to the collector epoch, monotone per
-      domain), then one [metric] line per registered metric.  Composes
-      with any {!Sink.t} via {!to_sink}; validated by the
-      [NOC-TRC-*] lint pass.
+      domain), then one [metric] line per registered metric.  Written
+      to a file by {!write_jsonl}; validated by the [NOC-TRC-*] lint
+      pass.
     - {!pp_summary}: a human-readable per-span-name table with counts,
       total wall time, and shares of the traced interval. *)
 
@@ -25,8 +25,14 @@ val jsonl :
 (** Lines in stream order: header, events merged across domains in
     timestamp order (per-domain order preserved), metrics. *)
 
-val to_sink : Sink.t -> Noc_json.Json.t list -> unit
-(** Emit every line, then close the sink. *)
+val write_jsonl : string -> Noc_json.Json.t list -> unit
+(** [write_jsonl path lines] writes one line per value to [path]
+    atomically: the lines go to a temporary file in [path]'s directory,
+    renamed onto [path] once all are written.  A run killed mid-write
+    leaves [path] as it was (and possibly a [*.tmp] file to delete),
+    never a truncated stream.
+    @raise Sys_error when the temporary file cannot be written or
+    renamed; the temporary file is removed. *)
 
 val phase_totals_ms : Trace.collector -> (string * float) list
 (** Total wall milliseconds per span name, name-sorted.  Nested spans

@@ -3,8 +3,7 @@
     A {!collector} accumulates raw begin/end span events.  Each domain
     appends to its own buffer (registered with the collector on first
     use), so recording takes no lock on the hot path and the buffers
-    are merged only at export time — the same serialization discipline
-    as the telemetry sinks.
+    are merged only at export time.
 
     Tracing is off by default: no collector is installed, {!with_span}
     costs one atomic load plus a closure call, and nothing is recorded

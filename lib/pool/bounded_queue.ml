@@ -88,9 +88,3 @@ let length t =
   let n = Queue.length t.items in
   Mutex.unlock t.mutex;
   n
-
-let is_closed t =
-  Mutex.lock t.mutex;
-  let c = t.closed in
-  Mutex.unlock t.mutex;
-  c

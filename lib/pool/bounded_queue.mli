@@ -28,6 +28,4 @@ val close : 'a t -> unit
 (** Idempotent.  Already-queued items remain poppable. *)
 
 val length : 'a t -> int
-(** Instantaneous queue depth (racy by nature; for telemetry). *)
-
-val is_closed : 'a t -> bool
+(** Instantaneous queue depth (racy by nature; for gauges). *)

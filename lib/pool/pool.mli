@@ -53,4 +53,4 @@ val domains : t -> int
 (** Number of worker domains the pool runs once given work. *)
 
 val queue_depth : t -> int
-(** Instantaneous queue depth (racy; for telemetry). *)
+(** Instantaneous queue depth (racy; for gauges). *)

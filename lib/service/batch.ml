@@ -1,6 +1,6 @@
 (* The batch engine: submit a job list through the domain pool, consult
-   the content-addressed cache first, emit telemetry along the way, and
-   hand results back in submission order regardless of completion
+   the content-addressed cache first, trace one batch.job span per job,
+   and hand results back in submission order regardless of completion
    order.  The per-job work (Runner.execute) is deterministic and
    isolated, so the only ordering the engine must impose is on the
    result list and the [on_result] stream — both follow submission
@@ -9,7 +9,6 @@
 type config = {
   domains : int;
   cache : Result_cache.t option;
-  telemetry : Noc_obs.Sink.t;
   timeout_ms : float option;
   fail_fast : bool;
   lint : bool;
@@ -19,7 +18,6 @@ let default_config =
   {
     domains = 1;
     cache = None;
-    telemetry = Noc_obs.Sink.null;
     timeout_ms = None;
     fail_fast = false;
     lint = true;
@@ -79,12 +77,6 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
         jobs
     else Array.make n None
   in
-  config.telemetry.Noc_obs.Sink.emit
-    (Telemetry.batch_started ~jobs:n ~domains:config.domains
-       ~cache_capacity:
-         (match config.cache with
-         | None -> 0
-         | Some cache -> Result_cache.capacity cache));
   let results = Array.make n None in
   let mutex = Mutex.create () in
   let all_done = Condition.create () in
@@ -111,24 +103,28 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
     if !remaining = 0 then Condition.signal all_done;
     Mutex.unlock mutex
   in
+  (* Every job ends exactly one batch.job span, whichever way it
+     finishes; its id is the head of the job's one hash. *)
+  let job_span index ~hash f =
+    Noc_obs.Trace.with_span "batch.job"
+      ~attrs:
+        [
+          ("index", Noc_obs.Trace.Int index);
+          ("job", Noc_obs.Trace.Str (String.sub hash 0 8));
+        ]
+    @@ fun sp ->
+    let outcome, cache_hit = f () in
+    Noc_obs.Trace.add_attr sp "cache_hit" (Noc_obs.Trace.Bool cache_hit);
+    Noc_obs.Trace.add_attr sp "status"
+      (Noc_obs.Trace.Str (Outcome.status_name outcome.Outcome.status));
+    record index { index; job = jobs.(index); outcome; cache_hit }
+  in
   let process index =
     let job = jobs.(index) in
-    if Atomic.get cancelled then begin
-      let r = { index; job; outcome = Outcome.cancelled; cache_hit = false } in
-      config.telemetry.Noc_obs.Sink.emit
-        (Telemetry.job_finished ~index ~job ~outcome:r.outcome ~cache_hit:false ());
-      record index r
-    end
+    let hash = Job.hash job in
+    job_span index ~hash @@ fun () ->
+    if Atomic.get cancelled then (Outcome.cancelled, false)
     else begin
-      Noc_obs.Trace.with_span "batch.job"
-        ~attrs:
-          [
-            ("index", Noc_obs.Trace.Int index);
-            ("job", Noc_obs.Trace.Str (Job.short_hash job));
-          ]
-      @@ fun job_sp ->
-      config.telemetry.Noc_obs.Sink.emit (Telemetry.job_started ~index ~job ());
-      let hash = Job.hash job in
       let outcome, cache_hit =
         match config.cache with
         | None -> (Runner.execute job, false)
@@ -142,43 +138,29 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
                 ({ cached with Outcome.wall_ms }, true)
             | None ->
                 let outcome = Runner.execute job in
-                if Outcome.is_done outcome then begin
-                  let evicted = Result_cache.store cache hash outcome in
-                  if evicted then
-                    let s = Result_cache.stats cache in
-                    config.telemetry.Noc_obs.Sink.emit
-                      (Telemetry.cache_evicted ~entries:s.Result_cache.entries
-                         ~capacity:(Result_cache.capacity cache))
-                end;
+                if Outcome.is_done outcome then
+                  ignore (Result_cache.store cache hash outcome);
                 (outcome, false))
       in
       let outcome = classify_timeout config ~cache_hit outcome in
-      Noc_obs.Trace.add_attr job_sp "cache_hit" (Noc_obs.Trace.Bool cache_hit);
       (match outcome.Outcome.status with
       | Outcome.Failed _ | Outcome.Timed_out ->
           if config.fail_fast then Atomic.set cancelled true
       | Outcome.Done | Outcome.Cancelled -> ());
-      config.telemetry.Noc_obs.Sink.emit
-        (Telemetry.job_finished ~index ~job ~outcome ~cache_hit ());
-      record index { index; job; outcome; cache_hit }
+      (outcome, cache_hit)
     end
   in
-  (* A vetoed job is finished on the spot: failed outcome, telemetry,
-     fail-fast semantics — but no worker ever sees it. *)
+  (* A vetoed job is finished on the spot: failed outcome, fail-fast
+     semantics — but no worker ever sees it. *)
   let reject index msg =
-    let job = jobs.(index) in
-    let outcome = Outcome.failed ~wall_ms:0. msg in
+    job_span index ~hash:(Job.hash jobs.(index)) @@ fun () ->
     if config.fail_fast then Atomic.set cancelled true;
-    config.telemetry.Noc_obs.Sink.emit
-      (Telemetry.job_finished ~index ~job ~outcome ~cache_hit:false ());
-    record index { index; job; outcome; cache_hit = false }
+    (Outcome.failed ~wall_ms:0. msg, false)
   in
   (if config.domains = 1 then
      (* Sequential arm: no domain is spawned at all — this is the
         reference trajectory the differential tests compare against. *)
      for index = 0 to n - 1 do
-       config.telemetry.Noc_obs.Sink.emit
-         (Telemetry.job_submitted ~index ~job:jobs.(index) ~queue_depth:0 ());
        match vetoed.(index) with
        | Some msg -> reject index msg
        | None -> process index
@@ -186,11 +168,6 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
    else
      Noc_pool.Pool.with_pool ~domains:config.domains (fun pool ->
          for index = 0 to n - 1 do
-           let depth = Noc_pool.Pool.queue_depth pool in
-           config.telemetry.Noc_obs.Sink.emit (Telemetry.queue_depth ~depth);
-           config.telemetry.Noc_obs.Sink.emit
-             (Telemetry.job_submitted ~index ~job:jobs.(index)
-                ~queue_depth:depth ());
            match vetoed.(index) with
            | Some msg -> reject index msg
            | None -> Noc_pool.Pool.submit pool (fun () -> process index)
@@ -222,21 +199,6 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
       domains = config.domains;
     }
   in
-  let cache_stats =
-    match config.cache with
-    | Some cache -> Result_cache.stats cache
-    | None ->
-        {
-          Result_cache.hits = summary.cache_hits;
-          misses = summary.total - summary.cache_hits - summary.cancelled;
-          evictions = 0;
-          entries = 0;
-        }
-  in
-  config.telemetry.Noc_obs.Sink.emit
-    (Telemetry.batch_finished ~wall_ms ~succeeded:summary.succeeded
-       ~failed:summary.failed ~cancelled:summary.cancelled ~cache_stats);
-  config.telemetry.Noc_obs.Sink.close ();
   (results, summary)
 
 let pp_summary ppf s =

@@ -1,18 +1,22 @@
 (** The batch engine: runs a job list through a {!Noc_pool.Pool},
-    consulting the content-addressed {!Result_cache} first and emitting
-    {!Telemetry} along the way.
+    consulting the content-addressed {!Result_cache} first.
 
     Determinism contract: the returned list and the [on_result] stream
     are both in submission order, and each job's deterministic payload
     ({!Outcome.result_hash}) is the same for any [domains] setting —
-    only wall times and telemetry interleavings vary. *)
+    only wall times and trace interleavings vary.
+
+    Under an installed {!Noc_obs.Trace} collector, the run is one
+    [batch.run] span, and every job — run, served from the cache,
+    rejected by lint or cancelled — ends exactly one [batch.job] span
+    carrying [index], [job] (the first 8 hex characters of
+    {!Job.hash}), [cache_hit] and [status] ({!Outcome.status_name}). *)
 
 type config = {
   domains : int;  (** [1] runs inline in the calling domain. *)
   cache : Result_cache.t option;
       (** Shared across the batch's workers; pass the same cache to a
           second [run] to measure warm replay. *)
-  telemetry : Noc_obs.Sink.t;  (** Closed when the batch finishes. *)
   timeout_ms : float option;
       (** Per-job budget.  OCaml computations cannot be interrupted, so
           this classifies over-budget jobs as [Timed_out] (withholding
@@ -28,8 +32,7 @@ type config = {
 }
 
 val default_config : config
-(** 1 domain, no cache, null telemetry, no timeout, no fail-fast,
-    lint on. *)
+(** 1 domain, no cache, no timeout, no fail-fast, lint on. *)
 
 type job_result = {
   index : int;

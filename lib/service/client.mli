@@ -34,4 +34,5 @@ val submit_all :
     reply per job, invoking [on_result] in submission order regardless
     of completion order.  The returned list is in submission order.
     When [corr_prefix] is given, job [i] carries the correlation id
-    ["<corr_prefix>-<i>"] into the daemon's spans and telemetry. *)
+    ["<corr_prefix>-<i>"] into the daemon's [serve.submit] and
+    [serve.job] spans. *)

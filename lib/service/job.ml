@@ -355,7 +355,6 @@ let of_json v =
 
 let canonical t = Json.to_string (to_json t)
 let hash t = Digest.to_hex (Digest.string (canonical t))
-let short_hash t = String.sub (hash t) 0 8
 
 let label t =
   let what =
@@ -374,8 +373,6 @@ let label t =
           (prepare_name prepare)
   in
   Printf.sprintf "%s %s" how what
-
-let pp ppf t = Format.fprintf ppf "%s [%s]" (label t) (short_hash t)
 
 (* ------------------------------------------------------------------ *)
 (* Job files                                                           *)

@@ -6,8 +6,8 @@
     — and a method to apply to it.  Canonical encoding writes every
     default out explicitly in a fixed field order, so the MD5 {!hash}
     of that encoding is a platform- and process-independent identity:
-    the key of the content-addressed result cache and the job id in
-    telemetry and bench baselines. *)
+    the key of the content-addressed result cache, and (its first 8 hex
+    characters) the job id in trace spans and bench baselines. *)
 
 type design =
   | Benchmark of { name : string; n_switches : int; max_degree : int }
@@ -84,13 +84,8 @@ val hash : t -> string
 (** MD5 of {!canonical}, lowercase hex (32 chars).  Equal jobs hash
     equal across platforms and processes. *)
 
-val short_hash : t -> string
-(** First 8 hex chars of {!hash}; for logs and telemetry. *)
-
 val label : t -> string
 (** Human-readable one-liner, e.g. ["removal D36_8@14"]. *)
-
-val pp : Format.formatter -> t -> unit
 
 val file_schema : string
 (** ["noc-jobs/1"], the job-file schema tag. *)

@@ -13,7 +13,6 @@ type 'a t = {
 }
 
 let create ~capacity = { capacity; table = Hashtbl.create (min capacity 64); clock = 0 }
-let capacity t = t.capacity
 let length t = Hashtbl.length t.table
 let mem t key = Hashtbl.mem t.table key
 

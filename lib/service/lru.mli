@@ -11,7 +11,6 @@ val create : capacity:int -> 'a t
 (** An empty table holding at most [capacity] entries ([>= 1]; the
     owner validates it). *)
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 val mem : 'a t -> string -> bool
 

@@ -14,11 +14,15 @@ let failed ?(wall_ms = 0.) msg = { status = Failed msg; metrics = []; wall_ms }
 let timed_out ~wall_ms = { status = Timed_out; metrics = []; wall_ms }
 let cancelled = { status = Cancelled; metrics = []; wall_ms = 0. }
 
+let status_name = function
+  | Done -> "done"
+  | Failed _ -> "failed"
+  | Timed_out -> "timed-out"
+  | Cancelled -> "cancelled"
+
 let status_to_json = function
-  | Done -> Json.Str "done"
   | Failed msg -> Json.Obj [ ("failed", Json.Str msg) ]
-  | Timed_out -> Json.Str "timed-out"
-  | Cancelled -> Json.Str "cancelled"
+  | status -> Json.Str (status_name status)
 
 let status_of_json = function
   | Json.Str "done" -> Ok Done

@@ -1,5 +1,5 @@
 (** The result of running one {!Job}: a status plus a flat, ordered
-    (metric, value) list.  Wall time is carried for telemetry and
+    (metric, value) list.  Wall time is carried for result lines and
     summaries but excluded from {!result_hash}, so outcomes compare
     bit-identically across machines, domain counts and cache hits. *)
 
@@ -10,6 +10,10 @@ type status =
                    run; OCaml computations cannot be interrupted). *)
   | Cancelled  (** Skipped before starting — batch cancelled or deadline
                    already passed while queued. *)
+
+val status_name : status -> string
+(** ["done"], ["failed"], ["timed-out"] or ["cancelled"]: the [status]
+    attribute of the [batch.job] and [serve.job] trace spans. *)
 
 type t = { status : status; metrics : (string * float) list; wall_ms : float }
 

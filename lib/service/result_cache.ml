@@ -1,7 +1,7 @@
 (* Content-addressed result cache: job hash -> outcome, LRU-bounded,
    shared across the worker domains of a batch (hence the mutex — the
    table and its recency stamps must move together).  Hit/miss counters
-   feed telemetry and the service bench's warm-replay measurement. *)
+   feed the service bench's warm-replay measurement. *)
 
 (* Evictions happen on worker domains mid-batch, where nobody is
    looking at [stats]; the registry counter makes them visible to
@@ -29,8 +29,6 @@ let create ~capacity =
     evictions = 0;
     mutex = Mutex.create ();
   }
-
-let capacity t = Lru.capacity t.lru
 
 let locked t f =
   Mutex.lock t.mutex;
@@ -75,15 +73,3 @@ let reset_counters t =
       t.hits <- 0;
       t.misses <- 0;
       t.evictions <- 0)
-
-let pp_stats ppf s =
-  Format.fprintf ppf "%d hit%s / %d miss%s (%.0f%%), %d entr%s, %d eviction%s"
-    s.hits
-    (if s.hits = 1 then "" else "s")
-    s.misses
-    (if s.misses = 1 then "" else "es")
-    (100. *. hit_rate s)
-    s.entries
-    (if s.entries = 1 then "y" else "ies")
-    s.evictions
-    (if s.evictions = 1 then "" else "s")

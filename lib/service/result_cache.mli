@@ -8,15 +8,12 @@ type t
 val create : capacity:int -> t
 (** @raise Invalid_argument when [capacity < 1]. *)
 
-val capacity : t -> int
-
 val find : t -> string -> Outcome.t option
 (** Lookup by job hash; counts a hit or a miss, refreshes recency. *)
 
 val store : t -> string -> Outcome.t -> bool
 (** Insert (or refresh) an outcome; evicts the least recently used
-    entry beyond capacity and returns [true] when that happened (the
-    caller may want to emit a [cache_evicted] telemetry event).  Store
+    entry beyond capacity and returns [true] when that happened.  Store
     only deterministic outcomes — the cache does not distinguish a
     [Failed] produced by the job from one produced by the
     environment. *)
@@ -30,5 +27,3 @@ val hit_rate : stats -> float
 val reset_counters : t -> unit
 (** Zero the hit/miss/eviction counters, keep the entries — used
     between the cold and warm arms of the service bench. *)
-
-val pp_stats : Format.formatter -> stats -> unit

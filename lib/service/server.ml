@@ -7,8 +7,12 @@
      file descriptor: it accepts connections, feeds each connection's
      frame decoder, vets submissions through the lint gate, consults
      the persistent store, and hands cache misses to the pool.  It
-     never blocks on a socket (select tells it what is readable) and
-     never runs a solver.
+     never runs a solver, and it never blocks reading a socket: select
+     tells it what is readable.  Writes do block.  [send] loops on a
+     blocking write, and the loop itself sends every pong, metrics
+     report, rejection, overload reply and store-hit result, so one
+     client that stops reading stalls the whole loop once its socket
+     buffer fills (ROADMAP item 1 output-queues the connections).
    - Worker domains run [Runner.execute], write the outcome into the
      store, and send the result frame themselves — each connection has
      a write mutex, so replies from any domain interleave whole frames,
@@ -23,8 +27,8 @@
    Graceful drain ([stop], wired to SIGTERM by noc_tool serve): stop
    accepting, answer new submissions with a draining rejection, wait
    for in-flight jobs, shut the pool down (joining the workers closes
-   their trace spans), flush the store index and telemetry, close
-   everything, return.  The self-pipe makes [stop] safe to call from a
+   their trace spans), flush the store index, close everything,
+   return.  The self-pipe makes [stop] safe to call from a
    signal handler or another domain: it only sets an atomic and writes
    one byte. *)
 
@@ -83,7 +87,6 @@ type config = {
   domains : int;
   queue_capacity : int;
   store : Store.t option;
-  telemetry : Noc_obs.Sink.t;
   lint : bool;
   slos : Noc_obs.Slo.t list;
 }
@@ -96,14 +99,12 @@ let default_config =
     domains = 2;
     queue_capacity = 64;
     store = None;
-    telemetry = Noc_obs.Sink.null;
     lint = true;
     slos = Noc_obs.Slo.defaults;
   }
 
 type conn = {
   fd : Unix.file_descr;
-  peer : string;
   dec : Wire.decoder;
   write_mutex : Mutex.t;
   alive : bool Atomic.t;  (* false: stop writing (peer gone or protocol error) *)
@@ -119,7 +120,6 @@ type t = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   inflight : int Atomic.t;
-  served : int Atomic.t;  (* submit requests answered, however *)
   mutable started_at : float;
 }
 
@@ -140,7 +140,6 @@ let create config =
     wake_r;
     wake_w;
     inflight = Atomic.make 0;
-    served = Atomic.make 0;
     started_at = 0.;
   }
 
@@ -216,93 +215,96 @@ let metrics_report t =
 (* Request handling (the loop thread)                                  *)
 (* ------------------------------------------------------------------ *)
 
-let finish_job t conn ~id ?corr ~received_ns ~job ~hash ~cached outcome =
+let finish_job t conn ~id ~received_ns ~hash ~cached outcome =
   Noc_obs.Metrics.observe t.m.m_submit_to_result_ms
     (Noc_obs.Clock.ms_between ~start_ns:received_ns
        ~stop_ns:(Noc_obs.Clock.now_ns ()));
-  t.config.telemetry.Noc_obs.Sink.emit
-    (Telemetry.job_finished ?corr ~index:id ~job ~outcome ~cache_hit:cached ());
-  Atomic.incr t.served;
   send conn (Wire.Result { id; job_hash = hash; outcome; cached })
 
+(* Admission, traced as one serve.submit span whose [verdict] says how
+   the request left the loop: [hit], [queued], [rejected], [overloaded]
+   or [draining]. *)
 let handle_submit t conn ~id ?corr job =
   let m = t.m in
   let received_ns = Noc_obs.Clock.now_ns () in
   Noc_obs.Metrics.incr m.m_jobs;
+  Noc_obs.Trace.with_span "serve.submit" @@ fun sp ->
   let hash = Job.hash job in
+  (* What names the request in serve.submit and serve.job: the first 8
+     hex characters of its one hash, and its correlation id if sent. *)
+  let attrs =
+    ("job", Noc_obs.Trace.Str (String.sub hash 0 8))
+    :: (match corr with None -> [] | Some c -> [ ("corr", Noc_obs.Trace.Str c) ])
+  in
+  List.iter (fun (k, v) -> Noc_obs.Trace.add_attr sp k v) attrs;
   let reject reason =
     Noc_obs.Metrics.incr m.m_rejected;
-    t.config.telemetry.Noc_obs.Sink.emit
-      (Telemetry.job_finished ?corr ~index:id ~job
-         ~outcome:(Outcome.failed ~wall_ms:0. reason) ~cache_hit:false ());
     send conn (Wire.Rejected { id; reason })
   in
-  if stopping t then begin
-    Noc_obs.Metrics.incr m.m_rejected;
-    send conn (Wire.Rejected { id; reason = "server is draining" })
-  end
-  else
-    match if t.config.lint then Lint.vet_job job else Ok () with
-    | Error reason -> reject reason
-    | Ok () -> (
-        match
-          Option.bind t.config.store (fun store -> Store.find store hash)
-        with
-        | Some outcome ->
-            Noc_obs.Metrics.incr m.m_warm_hits;
-            finish_job t conn ~id ?corr ~received_ns ~job ~hash ~cached:true
-              outcome
-        | None ->
-            let depth = Noc_pool.Pool.queue_depth t.pool in
-            Noc_obs.Metrics.set_gauge m.m_queue_depth (float_of_int depth);
-            Atomic.incr t.inflight;
-            Atomic.incr conn.pending;
-            Noc_obs.Metrics.set_gauge m.m_inflight
-              (float_of_int (Atomic.get t.inflight));
-            let task () =
-              Noc_obs.Trace.with_span "serve.job"
-                ~attrs:
-                  (("job", Noc_obs.Trace.Str (Job.short_hash job))
-                  ::
-                  (match corr with
-                  | None -> []
-                  | Some c -> [ ("corr", Noc_obs.Trace.Str c) ]))
-              @@ fun sp ->
-              (* The words this worker's domain allocates for the job:
-                 [Gc.minor_words] counts the calling domain only. *)
-              let words = Gc.minor_words () in
-              let outcome = Runner.execute job in
-              (match t.config.store with
-              | Some store when Outcome.is_done outcome ->
-                  ignore (Store.store store hash outcome)
-              | _ -> ());
-              finish_job t conn ~id ?corr ~received_ns ~job ~hash ~cached:false
-                outcome;
-              Atomic.decr t.inflight;
-              Atomic.decr conn.pending;
-              wake t;
-              Noc_obs.Trace.add_attr sp "words"
-                (Noc_obs.Trace.Int (int_of_float (Gc.minor_words () -. words)))
-            in
-            t.config.telemetry.Noc_obs.Sink.emit
-              (Telemetry.job_submitted ?corr ~index:id ~job ~queue_depth:depth
-                 ());
-            let unqueued () =
-              Atomic.decr t.inflight;
-              Atomic.decr conn.pending
-            in
-            (* The first miss spawns the pool's workers; a spawn the
-               runtime refuses rejects this job and leaves the loop
-               serving. *)
-            match Noc_pool.Pool.try_submit t.pool task with
-            | true -> ()
-            | false ->
-                unqueued ();
-                Noc_obs.Metrics.incr m.m_overloaded;
-                send conn (Wire.Overloaded { id; queue_depth = depth })
-            | exception Failure reason ->
-                unqueued ();
-                reject reason)
+  let verdict =
+    if stopping t then begin
+      reject "server is draining";
+      "draining"
+    end
+    else
+      match if t.config.lint then Lint.vet_job job else Ok () with
+      | Error reason ->
+          reject reason;
+          "rejected"
+      | Ok () -> (
+          match
+            Option.bind t.config.store (fun store -> Store.find store hash)
+          with
+          | Some outcome ->
+              Noc_obs.Metrics.incr m.m_warm_hits;
+              finish_job t conn ~id ~received_ns ~hash ~cached:true outcome;
+              "hit"
+          | None -> (
+              let depth = Noc_pool.Pool.queue_depth t.pool in
+              Noc_obs.Metrics.set_gauge m.m_queue_depth (float_of_int depth);
+              Atomic.incr t.inflight;
+              Atomic.incr conn.pending;
+              Noc_obs.Metrics.set_gauge m.m_inflight
+                (float_of_int (Atomic.get t.inflight));
+              let task () =
+                Noc_obs.Trace.with_span "serve.job" ~attrs @@ fun sp ->
+                (* The words this worker's domain allocates for the job:
+                   [Gc.minor_words] counts the calling domain only. *)
+                let words = Gc.minor_words () in
+                let outcome = Runner.execute job in
+                (match t.config.store with
+                | Some store when Outcome.is_done outcome ->
+                    ignore (Store.store store hash outcome)
+                | _ -> ());
+                finish_job t conn ~id ~received_ns ~hash ~cached:false outcome;
+                Atomic.decr t.inflight;
+                Atomic.decr conn.pending;
+                wake t;
+                Noc_obs.Trace.add_attr sp "words"
+                  (Noc_obs.Trace.Int (int_of_float (Gc.minor_words () -. words)));
+                Noc_obs.Trace.add_attr sp "status"
+                  (Noc_obs.Trace.Str (Outcome.status_name outcome.Outcome.status))
+              in
+              let unqueued () =
+                Atomic.decr t.inflight;
+                Atomic.decr conn.pending
+              in
+              (* The first miss spawns the pool's workers; a spawn the
+                 runtime refuses rejects this job and leaves the loop
+                 serving. *)
+              match Noc_pool.Pool.try_submit t.pool task with
+              | true -> "queued"
+              | false ->
+                  unqueued ();
+                  Noc_obs.Metrics.incr m.m_overloaded;
+                  send conn (Wire.Overloaded { id; queue_depth = depth });
+                  "overloaded"
+              | exception Failure reason ->
+                  unqueued ();
+                  reject reason;
+                  "rejected"))
+  in
+  Noc_obs.Trace.add_attr sp "verdict" (Noc_obs.Trace.Str verdict)
 
 let handle_request t conn request =
   let request_hist =
@@ -325,10 +327,7 @@ let handle_readable t conn buf =
       conn.eof <- true;
       Atomic.set conn.alive false
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | 0 ->
-      conn.eof <- true;
-      t.config.telemetry.Noc_obs.Sink.emit
-        (Telemetry.client_disconnected ~peer:conn.peer)
+  | 0 -> conn.eof <- true
   | n ->
       Wire.feed conn.dec (Bytes.sub_string buf 0 n) ~off:0 ~len:n;
       let rec drain () =
@@ -380,19 +379,11 @@ let tcp_listener port =
 let accept t conns lfd =
   match Unix.accept lfd with
   | exception Unix.Unix_error (_, _, _) -> ()
-  | fd, addr ->
+  | fd, _ ->
       Noc_obs.Metrics.incr t.m.m_connections;
-      let peer =
-        match addr with
-        | Unix.ADDR_UNIX _ -> Printf.sprintf "unix#%d" (Atomic.get t.served)
-        | Unix.ADDR_INET (host, port) ->
-            Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port
-      in
-      t.config.telemetry.Noc_obs.Sink.emit (Telemetry.client_connected ~peer);
       conns :=
         {
           fd;
-          peer;
           dec = Wire.decoder ();
           write_mutex = Mutex.create ();
           alive = Atomic.make true;
@@ -444,6 +435,8 @@ let run t =
      not the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
+  (* The daemon's life, store flush included, is one serve.run span. *)
+  Noc_obs.Trace.with_span "serve.run" @@ fun _ ->
   t.started_at <- Unix.gettimeofday ();
   let listeners =
     unix_listener t.config.socket_path
@@ -452,20 +445,12 @@ let run t =
        | Some port -> [ tcp_listener port ])
   in
   let metrics_listener = Option.map tcp_listener t.config.metrics_addr in
-  (match t.config.store with
-  | Some store ->
-      t.config.telemetry.Noc_obs.Sink.emit
-        (Telemetry.server_started ~socket:t.config.socket_path
-           ~domains:t.config.domains
-           ~store_entries:(Store.stats store).Store.entries)
-  | None ->
-      t.config.telemetry.Noc_obs.Sink.emit
-        (Telemetry.server_started ~socket:t.config.socket_path
-           ~domains:t.config.domains ~store_entries:0));
   let conns = ref [] in
   let buf = Bytes.create 65536 in
   let listeners_open = ref true in
-  let drain_announced = ref false in
+  (* The serve.drain span, open from the first iteration that sees the
+     stop flag until the last in-flight job is done. *)
+  let drain = ref None in
   let close_listeners () =
     if !listeners_open then begin
       listeners_open := false;
@@ -479,13 +464,14 @@ let run t =
   in
   let finished = ref false in
   while not !finished do
-    if stopping t && not !drain_announced then begin
-      drain_announced := true;
-      close_listeners ();
-      t.config.telemetry.Noc_obs.Sink.emit
-        (Telemetry.drain_started ~inflight:(Atomic.get t.inflight))
+    if stopping t && Option.is_none !drain then begin
+      drain := Some (Noc_obs.Trace.start "serve.drain");
+      close_listeners ()
     end;
-    if stopping t && Atomic.get t.inflight = 0 then finished := true
+    if stopping t && Atomic.get t.inflight = 0 then begin
+      Option.iter Noc_obs.Trace.finish !drain;
+      finished := true
+    end
     else begin
       (* Connections at EOF with no pending replies can be retired;
          everyone else stays selectable. *)
@@ -533,9 +519,5 @@ let run t =
   close_metrics_listener ();
   (try Sys.remove t.config.socket_path with Sys_error _ -> ());
   Option.iter Store.flush t.config.store;
-  t.config.telemetry.Noc_obs.Sink.emit
-    (Telemetry.server_stopped ~jobs:(Atomic.get t.served)
-       ~wall_ms:(1000. *. (Unix.gettimeofday () -. t.started_at)));
-  t.config.telemetry.Noc_obs.Sink.close ();
   Unix.close t.wake_r;
   Unix.close t.wake_w

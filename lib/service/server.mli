@@ -6,11 +6,21 @@
     streams results back as they complete.
 
     One thread (the caller of {!run}) owns all descriptors and never
-    blocks on a socket; worker domains execute jobs and write their
-    own result frames under per-connection mutexes.  {!stop} — safe
-    from a signal handler — triggers a graceful drain: stop accepting,
-    reject new submissions, finish in-flight jobs, shut the pool down,
-    flush the store index and telemetry, then return from {!run}. *)
+    blocks reading a socket; worker domains execute jobs and write
+    their own result frames under per-connection mutexes.  Writes
+    block: the loop sends its own replies (pongs, metrics reports,
+    rejections, overload replies, store hits), so a client that stops
+    reading can stall it (ROADMAP item 1).  {!stop} — safe from a
+    signal handler — triggers a graceful drain: stop accepting, reject
+    new submissions, finish in-flight jobs, shut the pool down, flush
+    the store index, then return from {!run}.
+
+    Under an installed {!Noc_obs.Trace} collector, {!run} is one
+    [serve.run] span; each submission is one [serve.submit] span on the
+    loop with [job], [corr] (when sent) and a [verdict] ([hit],
+    [queued], [rejected], [overloaded] or [draining]); each queued job
+    is one [serve.job] span on its worker with [job], [corr], [words]
+    and [status]; the drain is one [serve.drain] span. *)
 
 type config = {
   socket_path : string;  (** Unix-domain socket; created, unlinked on exit. *)
@@ -22,7 +32,6 @@ type config = {
   queue_capacity : int;
       (** Bounded-queue depth; beyond it submissions get [Overloaded]. *)
   store : Store.t option;  (** Persistent result store (warm restarts). *)
-  telemetry : Noc_obs.Sink.t;
   lint : bool;  (** Vet submissions before they reach the pool. *)
   slos : Noc_obs.Slo.t list;
       (** Objectives evaluated on every scrape and {!Wire.Metrics}
@@ -30,8 +39,8 @@ type config = {
 }
 
 val default_config : config
-(** [noc-serve.sock], no TCP, 2 domains, queue 64, no store, null
-    telemetry, lint on, no metrics listener, {!Noc_obs.Slo.defaults}. *)
+(** [noc-serve.sock], no TCP, 2 domains, queue 64, no store, lint on,
+    no metrics listener, {!Noc_obs.Slo.defaults}. *)
 
 type t
 
@@ -42,8 +51,7 @@ val create : config -> t
 
 val run : t -> unit
 (** Open the listeners and serve until {!stop}; performs the full
-    drain (including closing the telemetry sink) before returning.
-    Ignores SIGPIPE process-wide. *)
+    drain before returning.  Ignores SIGPIPE process-wide. *)
 
 val stop : t -> unit
 (** Request a graceful drain.  Only sets an atomic flag and writes a

@@ -198,7 +198,6 @@ let create ~root ~capacity =
     (List.rev listed);
   t
 
-let capacity t = Lru.capacity t.lru
 let root t = t.root
 
 (* ------------------------------------------------------------------ *)
@@ -290,12 +289,6 @@ let hit_rate s =
   let total = s.hits + s.misses in
   if total = 0 then 0. else float_of_int s.hits /. float_of_int total
 
-let reset_counters t =
-  locked t (fun () ->
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0)
-
 (* Failures (full disk, root removed from under us) are swallowed: the
    index is reconstructible by a rescan, so losing a flush must never
    take a job down with it. *)
@@ -305,15 +298,3 @@ let flush t =
         write_atomic ~dir:t.root ~path:(index_path t) (Json.to_string (index_json t) ^ "\n");
         t.indexed <- true
       with Sys_error _ -> ())
-
-let pp_stats ppf s =
-  Format.fprintf ppf "%d hit%s / %d miss%s (%.0f%%), %d entr%s on disk, %d eviction%s"
-    s.hits
-    (if s.hits = 1 then "" else "s")
-    s.misses
-    (if s.misses = 1 then "" else "es")
-    (100. *. hit_rate s)
-    s.entries
-    (if s.entries = 1 then "y" else "ies")
-    s.evictions
-    (if s.evictions = 1 then "" else "s")

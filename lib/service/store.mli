@@ -29,7 +29,6 @@ val create : root:string -> capacity:int -> t
     evicted now, least recent first.
     @raise Invalid_argument when [capacity < 1]. *)
 
-val capacity : t -> int
 val root : t -> string
 
 val find : t -> string -> Outcome.t option
@@ -51,5 +50,3 @@ type stats = { hits : int; misses : int; evictions : int; entries : int }
 
 val stats : t -> stats
 val hit_rate : stats -> float
-val reset_counters : t -> unit
-val pp_stats : Format.formatter -> stats -> unit

@@ -23,9 +23,9 @@ type request =
       (** Run [job]; [id] is the per-connection reply-matching index,
           echoed on the reply.  [corr] is an optional {e correlation
           id}: an opaque client-chosen string the server threads into
-          its job span and telemetry events, so one request is
-          traceable across client log, wire, daemon telemetry, and
-          trace stream.  Absent from pre-PR-8 clients. *)
+          its [serve.submit] and [serve.job] trace spans, so one
+          request is traceable across client log, wire and trace
+          stream.  Absent from older clients. *)
   | Metrics
       (** Ask for the typed {!metrics_report}: stats record, metrics
           snapshot, SLO verdicts. *)

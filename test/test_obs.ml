@@ -1,11 +1,10 @@
 (* The observability layer: monotonic clock, metrics registry, span
-   tracer, sinks, and exporters.  The properties mirror the invariants
+   tracer, and exporters.  The properties mirror the invariants
    the exporters and the NOC-TRC lint pass rely on: every domain's
    event stream is well-parenthesized, Chrome export round-trips
    through Json.t, and a disabled tracer records nothing at all. *)
 
 module Clock = Noc_obs.Clock
-module Sink = Noc_obs.Sink
 module Trace = Noc_obs.Trace
 module Metrics = Noc_obs.Metrics
 module Export = Noc_obs.Export
@@ -127,43 +126,6 @@ let test_metrics_snapshot_sorted () =
     (List.sort compare names = names)
 
 (* ------------------------------------------------------------------ *)
-(* Sinks                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_sink_memory_and_tee () =
-  let a, events_a = Sink.memory () in
-  let b, events_b = Sink.memory () in
-  let t = Sink.tee a b in
-  t.Sink.emit (Json.Str "x");
-  t.Sink.emit (Json.Num 1.);
-  t.Sink.close ();
-  check int_c "tee duplicates" 2 (List.length (events_a ()));
-  check bool_c "both sides identical" true (events_a () = events_b ())
-
-let test_sink_to_file_atomic () =
-  let dir = Filename.temp_file "noc_obs_test" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let path = Filename.concat dir "out.jsonl" in
-  let sink = Sink.to_file path in
-  sink.Sink.emit (Json.Obj [ ("n", Json.Num 1.) ]);
-  sink.Sink.emit (Json.Obj [ ("n", Json.Num 2.) ]);
-  (* Atomicity: nothing at [path] until close renames the temp file. *)
-  check bool_c "absent before close" false (Sys.file_exists path);
-  sink.Sink.close ();
-  check bool_c "present after close" true (Sys.file_exists path);
-  let lines =
-    In_channel.with_open_text path In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
-  in
-  check int_c "both lines landed" 2 (List.length lines);
-  check bool_c "no temp leftover" true
-    (Sys.readdir dir |> Array.to_list |> List.for_all (fun f -> f = "out.jsonl"));
-  Sys.remove path;
-  Unix.rmdir dir
-
-(* ------------------------------------------------------------------ *)
 (* Tracer                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -258,7 +220,7 @@ let test_jsonl_lints_clean () =
       run_workload ();
       let text =
         String.concat "\n"
-          (List.map Sink.line (Export.jsonl ~metrics:(Metrics.snapshot ()) c))
+          (List.map Json.to_string (Export.jsonl ~metrics:(Metrics.snapshot ()) c))
         ^ "\n"
       in
       match Noc_analysis.Trace_check.check ~path:"mem.trace" text with
@@ -275,7 +237,7 @@ let test_jsonl_lints_clean () =
 let test_trace_check_catches_corruption () =
   with_collector (fun c ->
       run_workload ();
-      let lines = List.map Sink.line (Export.jsonl c) in
+      let lines = List.map Json.to_string (Export.jsonl c) in
       let has_code code ds =
         List.exists
           (fun (d : Noc_analysis.Diagnostic.t) ->
@@ -313,6 +275,53 @@ let test_phase_totals () =
         (List.map fst totals = [ "step"; "work" ]);
       let step = List.assoc "step" totals and work = List.assoc "work" totals in
       check bool_c "children within the parent" true (step <= work))
+
+(* The trace writer stages its lines in a temporary file and renames it
+   into place.  A reader polling the path while another domain writes
+   finds nothing there or every line, never part of the stream; after
+   the rename the directory holds the trace alone.  A failed rename
+   (onto a directory) leaves no temporary file either. *)
+let test_write_jsonl_atomic () =
+  let dir = Filename.temp_file "noc_obs_test" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "out.jsonl" in
+  let n = 100_000 in
+  let lines =
+    List.init n (fun i -> Json.Obj [ ("n", Json.Num (float_of_int i)) ])
+  in
+  let count_lines path =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.length
+  in
+  let written = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set written true)
+          (fun () -> Export.write_jsonl path lines))
+  in
+  let partial = ref 0 in
+  while not (Atomic.get written) do
+    if Sys.file_exists path && count_lines path <> n then incr partial
+  done;
+  Domain.join writer;
+  check int_c "never a partial stream at the path" 0 !partial;
+  check int_c "every line after the rename" n (count_lines path);
+  check bool_c "no temp leftover" true (Sys.readdir dir = [| "out.jsonl" |]);
+  let blocked = Filename.concat dir "blocked" in
+  Unix.mkdir blocked 0o755;
+  (match Export.write_jsonl blocked [ Json.Num 1. ] with
+  | () -> Alcotest.fail "renaming onto a directory should fail"
+  | exception Sys_error _ -> ());
+  check bool_c "no temp leftover after a failed rename" true
+    (List.sort compare (Array.to_list (Sys.readdir dir))
+    = [ "blocked"; "out.jsonl" ]);
+  Unix.rmdir blocked;
+  Sys.remove path;
+  Unix.rmdir dir
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -513,11 +522,6 @@ let () =
           tc "reset in place" `Quick test_metrics_reset;
           tc "snapshot sorted" `Quick test_metrics_snapshot_sorted;
         ] );
-      ( "sinks",
-        [
-          tc "memory and tee" `Quick test_sink_memory_and_tee;
-          tc "to_file is atomic" `Quick test_sink_to_file_atomic;
-        ] );
       ( "tracer",
         [
           tc "disabled is a no-op" `Quick test_disabled_is_noop;
@@ -532,6 +536,7 @@ let () =
           tc "trace lint catches corruption" `Quick
             test_trace_check_catches_corruption;
           tc "phase totals" `Quick test_phase_totals;
+          tc "write_jsonl is atomic" `Quick test_write_jsonl_atomic;
         ] );
       ("properties", qcheck_cases);
     ]

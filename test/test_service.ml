@@ -792,82 +792,56 @@ let test_batch_timeout_classification () =
   in
   check int_c "over-budget job classified timed out" 1 summary.Batch.timed_out
 
-(* ------------------------------------------------------------------ *)
-(* Telemetry                                                           *)
-(* ------------------------------------------------------------------ *)
+(* Runs [f] under a fresh collector.  Returns its result and a lookup
+   from a span name to the attribute lists of its completed spans. *)
+let traced f =
+  let collector = Noc_obs.Trace.create () in
+  Noc_obs.Trace.install collector;
+  let result = Fun.protect ~finally:Noc_obs.Trace.uninstall f in
+  let spans = Noc_obs.Trace.completed_spans collector in
+  ( result,
+    fun name ->
+      List.filter_map
+        (fun (s : Noc_obs.Trace.completed) ->
+          if s.Noc_obs.Trace.name = name then Some s.Noc_obs.Trace.attrs
+          else None)
+        spans )
 
-let test_telemetry_stream_shape () =
-  let sink, events = Noc_obs.Sink.memory () in
-  let jobs = [ List.hd (registry_jobs ()) ] in
-  let cache = Result_cache.create ~capacity:4 in
-  let _ =
-    Batch.run
-      { Batch.default_config with Batch.telemetry = sink; cache = Some cache }
-      jobs
-  in
-  let names =
-    List.map
-      (fun e -> Json.to_str (Json.field "event" e))
-      (events ())
-  in
-  check bool_c "event sequence" true
-    (names
-    = [
-        "batch_started"; "job_submitted"; "job_started"; "job_finished";
-        "batch_finished";
-      ]);
-  List.iter
-    (fun e ->
-      (* Every event is one parseable JSONL line with the envelope. *)
-      check bool_c "has a timestamp" true (Json.member "ts" e <> None);
-      match Json.of_string (Noc_obs.Sink.line e) with
-      | Ok round -> check bool_c "line parses back" true (round = e)
-      | Error msg -> Alcotest.failf "telemetry line does not parse: %s" msg)
-    (events ())
+let str_attr key attrs =
+  match List.assoc_opt key attrs with
+  | Some (Noc_obs.Trace.Str v) -> v
+  | _ -> Alcotest.failf "span has no string attribute %S" key
 
-let test_telemetry_to_file_atomic () =
-  let dir = Filename.temp_file "noc_telemetry_test" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let path = Filename.concat dir "events.jsonl" in
-  let sink = Noc_obs.Sink.to_file path in
-  sink.Noc_obs.Sink.emit (Telemetry.queue_depth ~depth:3);
-  sink.Noc_obs.Sink.emit (Telemetry.cache_evicted ~entries:4 ~capacity:4);
-  (* Atomicity contract: nothing visible at [path] until close renames
-     the temp file into place — a killed run leaves no truncated file. *)
-  check bool_c "absent before close" false (Sys.file_exists path);
-  sink.Noc_obs.Sink.close ();
-  check bool_c "present after close" true (Sys.file_exists path);
-  let lines =
-    In_channel.with_open_text path In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
-  in
-  check int_c "both events written" 2 (List.length lines);
-  List.iter
-    (fun l ->
-      match Json.of_string l with
-      | Ok e -> check bool_c "has a timestamp" true (Json.member "ts" e <> None)
-      | Error msg -> Alcotest.failf "line does not parse: %s" msg)
-    lines;
-  check bool_c "no temp leftover" true
-    (Sys.readdir dir |> Array.to_list
-    |> List.for_all (fun f -> f = "events.jsonl"));
-  Sys.remove path;
-  Unix.rmdir dir
+let int_attr key attrs =
+  match List.assoc_opt key attrs with
+  | Some (Noc_obs.Trace.Int v) -> v
+  | _ -> Alcotest.failf "span has no integer attribute %S" key
 
-let test_telemetry_new_events () =
-  let qd = Telemetry.queue_depth ~depth:7 in
-  check bool_c "queue_depth event name" true
-    (Json.to_str (Json.field "event" qd) = "queue_depth");
-  check bool_c "queue_depth depth field" true
-    (Json.member "depth" qd = Some (Json.Num 7.));
-  let ev = Telemetry.cache_evicted ~entries:8 ~capacity:8 in
-  check bool_c "cache_evicted event name" true
-    (Json.to_str (Json.field "event" ev) = "cache_evicted");
-  check bool_c "cache_evicted fields" true
-    (Json.member "entries" ev = Some (Json.Num 8.)
-    && Json.member "capacity" ev = Some (Json.Num 8.))
+let unparsable_inline_job =
+  { Job.design = Job.Inline "not a design"; method_ = Job.removal_defaults }
+
+(* A lint-rejected job under fail-fast cancels the two good ones behind
+   it, and each of the three still ends one batch.job span. *)
+let test_batch_one_job_span_per_job () =
+  let ok = List.hd (registry_jobs ()) in
+  let jobs = [ unparsable_inline_job; ok; ok ] in
+  let (_, summary), spans =
+    traced (fun () ->
+        Batch.run { Batch.default_config with Batch.fail_fast = true } jobs)
+  in
+  check int_c "cancelled" 2 summary.Batch.cancelled;
+  check int_c "one batch.run span" 1 (List.length (spans "batch.run"));
+  let job_spans = spans "batch.job" in
+  check
+    Alcotest.(list (pair int string))
+    "index and status of every batch.job span"
+    [ (0, "failed"); (1, "cancelled"); (2, "cancelled") ]
+    (List.map (fun a -> (int_attr "index" a, str_attr "status" a)) job_spans);
+  check
+    Alcotest.(list string)
+    "job ids are hash heads"
+    (List.map (fun j -> String.sub (Job.hash j) 0 8) jobs)
+    (List.map (str_attr "job") job_spans)
 
 (* ------------------------------------------------------------------ *)
 (* Wire: length-prefixed frames survive arbitrary chunk boundaries     *)
@@ -1550,7 +1524,7 @@ let test_server_end_to_end_warm_restart () =
 
 (* Starts a daemon on the store under [dir], submits [jobs] over one
    connection, drains the daemon and returns the replies. *)
-let serve_once ~dir jobs =
+let serve_once ?corr_prefix ~dir jobs =
   let socket = Filename.concat dir "serve.sock" in
   let store = Store.create ~root:(Filename.concat dir "store") ~capacity:64 in
   let server =
@@ -1571,7 +1545,9 @@ let serve_once ~dir jobs =
     Result.bind (Client.connect ~socket) (fun client ->
         Fun.protect
           ~finally:(fun () -> Client.close client)
-          (fun () -> Client.submit_all client jobs ~on_result:(fun _ _ _ -> ())))
+          (fun () ->
+            Client.submit_all ?corr_prefix client jobs
+              ~on_result:(fun _ _ _ -> ())))
   in
   Server.stop server;
   Domain.join d;
@@ -1623,6 +1599,41 @@ let test_server_job_span_counts_words () =
           | Some (Noc_obs.Trace.Int words) -> check bool_c "words above 0" true (words > 0)
           | _ -> Alcotest.fail "serve.job has no integer words attribute")
       | spans -> Alcotest.failf "%d serve.job spans, want 1" (List.length spans))
+
+(* Every submission is one serve.submit span on the loop, whose verdict
+   says how it left: a miss is queued, a design lint rejects is
+   rejected, and the same job on a restarted daemon is a store hit.
+   The hit needs the restart: [Client.submit_all] writes every frame
+   before it reads a reply, so a repeat in the same run can miss too. *)
+let test_server_submit_spans () =
+  with_temp_dir (fun dir ->
+      let job = List.hd (registry_jobs ()) in
+      let (), spans =
+        traced (fun () ->
+            ignore
+              (serve_once ~corr_prefix:"first" ~dir
+                 [ job; unparsable_inline_job ]);
+            ignore (serve_once ~corr_prefix:"second" ~dir [ job ]))
+      in
+      let submits =
+        List.sort compare
+          (List.map
+             (fun a -> (str_attr "corr" a, str_attr "verdict" a))
+             (spans "serve.submit"))
+      in
+      check
+        Alcotest.(list (pair string string))
+        "one serve.submit span per submission"
+        [ ("first-0", "queued"); ("first-1", "rejected"); ("second-0", "hit") ]
+        submits;
+      match spans "serve.job" with
+      | [ a ] ->
+          check string_c "serve.job corr" "first-0" (str_attr "corr" a);
+          check string_c "serve.job status" "done" (str_attr "status" a);
+          check string_c "serve.job id is the hash head"
+            (String.sub (Job.hash job) 0 8)
+            (str_attr "job" a)
+      | l -> Alcotest.failf "%d serve.job spans, want 1" (List.length l))
 
 (* The socket path appears only once the daemon listens, so a client
    that connects the moment the path exists is never refused.  The
@@ -1756,6 +1767,8 @@ let () =
             test_server_warm_restart_starts_no_worker;
           Alcotest.test_case "job span counts its words" `Quick
             test_server_job_span_counts_words;
+          Alcotest.test_case "every submission has one serve.submit span"
+            `Quick test_server_submit_spans;
         ] );
       ( "batch",
         [
@@ -1767,13 +1780,7 @@ let () =
           Alcotest.test_case "fail fast" `Quick test_batch_fail_fast_cancels;
           Alcotest.test_case "timeout classification" `Quick
             test_batch_timeout_classification;
-        ] );
-      ( "telemetry",
-        [
-          Alcotest.test_case "stream shape" `Quick test_telemetry_stream_shape;
-          Alcotest.test_case "to_file is atomic" `Quick
-            test_telemetry_to_file_atomic;
-          Alcotest.test_case "queue_depth and cache_evicted" `Quick
-            test_telemetry_new_events;
+          Alcotest.test_case "one batch.job span per job" `Quick
+            test_batch_one_job_span_per_job;
         ] );
     ]
