@@ -276,11 +276,16 @@ let test_phase_totals () =
       let step = List.assoc "step" totals and work = List.assoc "work" totals in
       check bool_c "children within the parent" true (step <= work))
 
-(* The trace writer stages its lines in a temporary file and renames it
-   into place.  A reader polling the path while another domain writes
-   finds nothing there or every line, never part of the stream; after
-   the rename the directory holds the trace alone.  A failed rename
-   (onto a directory) leaves no temporary file either. *)
+(* ------------------------------------------------------------------ *)
+(* Sinks                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [Export.write_jsonl] is the one file sink of the event record.  It
+   stages its lines in a temporary file and renames it into place.  A
+   reader polling the path while another domain writes finds nothing
+   there or every line, never part of the stream; after the rename the
+   directory holds the trace alone.  A failed rename (onto a directory)
+   leaves no temporary file either. *)
 let test_write_jsonl_atomic () =
   let dir = Filename.temp_file "noc_obs_test" "" in
   Sys.remove dir;
@@ -536,7 +541,7 @@ let () =
           tc "trace lint catches corruption" `Quick
             test_trace_check_catches_corruption;
           tc "phase totals" `Quick test_phase_totals;
-          tc "write_jsonl is atomic" `Quick test_write_jsonl_atomic;
         ] );
+      ("sinks", [ tc "to_file is atomic" `Quick test_write_jsonl_atomic ]);
       ("properties", qcheck_cases);
     ]

@@ -844,6 +844,74 @@ let test_batch_one_job_span_per_job () =
     (List.map (str_attr "job") job_spans)
 
 (* ------------------------------------------------------------------ *)
+(* Telemetry                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A batch's telemetry is its span trace, written to a file as a
+   noc-trace/1 stream by [Export.write_jsonl].  Written over an older
+   file at the same path, it replaces that file whole: a reader polling
+   the path meanwhile finds the old text or the new one, never a prefix
+   or a mix.  The file then lints clean, ends the batch's batch.job span
+   with its status, and has no temporary file beside it. *)
+let test_telemetry_to_file_atomic () =
+  let collector = Noc_obs.Trace.create () in
+  Noc_obs.Trace.install collector;
+  let _ =
+    Fun.protect ~finally:Noc_obs.Trace.uninstall (fun () ->
+        Batch.run Batch.default_config [ List.hd (registry_jobs ()) ])
+  in
+  let lines = Noc_obs.Export.jsonl collector in
+  let text =
+    String.concat "" (List.map (fun l -> Json.to_string l ^ "\n") lines)
+  in
+  let dir = Filename.temp_file "noc_telemetry_test" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "events.jsonl" in
+  let stale = "{\"stale\":true}\n" in
+  Out_channel.with_open_text path (fun oc -> output_string oc stale);
+  let read () = In_channel.with_open_text path In_channel.input_all in
+  let written = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set written true)
+          (fun () -> Noc_obs.Export.write_jsonl path lines))
+  in
+  let torn = ref 0 in
+  while not (Atomic.get written) do
+    let seen = read () in
+    if seen <> stale && seen <> text then incr torn
+  done;
+  Domain.join writer;
+  check int_c "never a torn file at the path" 0 !torn;
+  check string_c "the new stream after the rename" text (read ());
+  (match Noc_analysis.Trace_check.check ~path text with
+  | [] -> ()
+  | ds ->
+      Alcotest.failf "the written trace has %d lint findings" (List.length ds));
+  let job_ends =
+    List.filter_map
+      (fun l ->
+        match Json.of_string l with
+        | Error msg -> Alcotest.failf "line does not parse: %s" msg
+        | Ok e ->
+            if
+              Json.member "event" e = Some (Json.Str "span_end")
+              && Json.member "name" e = Some (Json.Str "batch.job")
+            then Some (Json.field "attrs" e)
+            else None)
+      (List.filter (fun l -> l <> "") (String.split_on_char '\n' (read ())))
+  in
+  check
+    Alcotest.(list string)
+    "one batch.job end with its status" [ "done" ]
+    (List.map (fun a -> Json.to_str (Json.field "status" a)) job_ends);
+  check bool_c "no temp leftover" true (Sys.readdir dir = [| "events.jsonl" |]);
+  Sys.remove path;
+  Unix.rmdir dir
+
+(* ------------------------------------------------------------------ *)
 (* Wire: length-prefixed frames survive arbitrary chunk boundaries     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1782,5 +1850,10 @@ let () =
             test_batch_timeout_classification;
           Alcotest.test_case "one batch.job span per job" `Quick
             test_batch_one_job_span_per_job;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "to_file is atomic" `Quick
+            test_telemetry_to_file_atomic;
         ] );
     ]
