@@ -150,7 +150,10 @@ top-smoke: build
 	"$$noc" top --addr 9469 --raw > "$$dir/scrape.txt"; \
 	grep -q '^noc_serve_jobs_total 12$$' "$$dir/scrape.txt"; \
 	grep -q 'noc_slo_ok' "$$dir/scrape.txt"; \
-	! grep -Eq '^noc_slo_ok\{[^}]*\} 0$$' "$$dir/scrape.txt"; \
+	if grep -Eq '^noc_slo_ok\{[^}]*\} 0$$' "$$dir/scrape.txt"; then \
+	  echo "top-smoke: an SLO is red"; \
+	  kill -TERM "$$server"; wait "$$server"; exit 1; \
+	fi; \
 	"$$noc" top --socket "$$sock" --once > "$$dir/top.txt"; \
 	grep -q 'workers' "$$dir/top.txt"; \
 	kill -TERM "$$server"; wait "$$server"; \

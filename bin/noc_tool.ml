@@ -256,32 +256,16 @@ let reroute_first_arg =
            ~doc:"Try to break cycles by rerouting flows onto alternative \
                  physical paths before adding any VCs.")
 
-let no_incremental_arg =
-  Arg.(value & flag
-       & info [ "no-incremental" ]
-           ~doc:"Rebuild the CDG from scratch every iteration (the \
-                 historical behaviour) instead of maintaining it in \
-                 place.  The result is identical; this exists for \
-                 cross-checking and benchmarking.")
-
-let validate_cdg_arg =
-  Arg.(value & flag
-       & info [ "validate-cdg" ]
-           ~doc:"After every removal iteration, assert that the \
-                 incrementally maintained CDG is structurally equal to \
-                 a fresh rebuild.  Slow; for debugging.")
-
 let remove_cmd =
   let run () name n_switches degree heuristic directions resource reroute
-      no_incremental validate_cdg trace input save =
+      trace input save =
     let net = or_die (obtain_network ~input ~name ~n_switches ~degree) in
     if reroute then
       Format.printf "%a@.@." Noc_deadlock.Reroute.pp_report
         (Noc_deadlock.Reroute.run net);
     let report =
       with_tracing trace (fun () ->
-          Noc_deadlock.Removal.run ~heuristic ~directions ~resource
-            ~incremental:(not no_incremental) ~validate:validate_cdg net)
+          Noc_deadlock.Removal.run ~heuristic ~directions ~resource net)
     in
     Format.printf "%a@.@." Noc_deadlock.Removal.pp_report report;
     let cert = Noc_deadlock.Verify.certify net in
@@ -294,7 +278,6 @@ let remove_cmd =
     (Cmd.info "remove" ~doc:"Remove deadlocks from a design, verify, and price")
     Term.(const run $ logs_term $ benchmark_arg $ switches_arg $ degree_arg
           $ heuristic_arg $ directions_arg $ resource_arg $ reroute_first_arg
-          $ no_incremental_arg $ validate_cdg_arg
           $ trace_file_arg $ input_arg $ save_arg)
 
 let optimal_cmd =

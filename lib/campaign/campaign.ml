@@ -67,17 +67,20 @@ let run ?(on_cell = fun (_ : cell) -> ()) config jobs =
     observe_cell cell;
     on_cell cell
   in
+  (* One hash per grid job, reused for the resume lookup, the
+     write-back and the grid-order reassembly. *)
+  let keyed = List.map (fun job -> (Job.hash job, job)) jobs in
   (* Serve what the store already knows (the resume path), then batch
      the rest and write fresh deterministic results back. *)
   let warm, cold =
     List.partition_map
-      (fun job ->
-        match Option.bind config.store (fun s -> Store.find s (Job.hash job)) with
-        | Some outcome -> Left { job; outcome; cached = true }
-        | None -> Right job)
-      jobs
+      (fun (hash, job) ->
+        match Option.bind config.store (fun s -> Store.find s hash) with
+        | Some outcome -> Left (hash, { job; outcome; cached = true })
+        | None -> Right (hash, job))
+      keyed
   in
-  List.iter on_cell warm;
+  List.iter (fun (_, cell) -> on_cell cell) warm;
   let results, _summary =
     Batch.run
       ~on_result:(fun (r : Batch.job_result) ->
@@ -89,26 +92,25 @@ let run ?(on_cell = fun (_ : cell) -> ()) config jobs =
         fail_fast = false;
         lint = config.lint;
       }
-      cold
+      (List.map snd cold)
   in
+  (* [results] is in submission order, one per cold job. *)
   let fresh =
-    List.map
-      (fun (r : Batch.job_result) ->
+    List.map2
+      (fun (hash, _) (r : Batch.job_result) ->
         (match config.store with
         | Some s when Outcome.is_done r.Batch.outcome ->
-            ignore (Store.store s (Job.hash r.Batch.job) r.Batch.outcome)
+            ignore (Store.store s hash r.Batch.outcome)
         | Some _ | None -> ());
-        { job = r.Batch.job; outcome = r.Batch.outcome; cached = false })
-      results
+        (hash, { job = r.Batch.job; outcome = r.Batch.outcome; cached = false }))
+      cold results
   in
   Option.iter Store.flush config.store;
   (* Reassemble in grid order so reports are stable however the cells
      were obtained. *)
   let by_hash = Hashtbl.create (List.length jobs) in
-  List.iter
-    (fun c -> Hashtbl.replace by_hash (Job.hash c.job) c)
-    (warm @ fresh);
-  List.filter_map (fun job -> Hashtbl.find_opt by_hash (Job.hash job)) jobs
+  List.iter (fun (hash, cell) -> Hashtbl.replace by_hash hash cell) (warm @ fresh);
+  List.filter_map (fun (hash, _) -> Hashtbl.find_opt by_hash hash) keyed
 
 (* ------------------------------------------------------------------ *)
 (* Cell accessors                                                      *)

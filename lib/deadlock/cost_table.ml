@@ -147,47 +147,6 @@ let both net cycle_list =
 let forward net cycle = fst (both net cycle)
 let backward net cycle = snd (both net cycle)
 
-(* The pre-optimization implementation, kept verbatim as an executable
-   specification: one [duplicate_set] rescan per (row, column) and a
-   full-route involvement filter.  [both] must agree with it exactly —
-   the property tests check this, and [Removal.run ~incremental:false]
-   (the benchmark "before" arm) uses it so the baseline measures the
-   seed code, not a silently optimized variant. *)
-let compute_reference direction net cycle_list =
-  if cycle_list = [] then invalid_arg "Cost_table: empty cycle";
-  let cycle = Array.of_list cycle_list in
-  let k = Array.length cycle in
-  let cycle_set = Channel.Set.of_list cycle_list in
-  let involved =
-    let crosses (f : Traffic.flow) =
-      let inside =
-        List.filter
-          (fun c -> Channel.Set.mem c cycle_set)
-          (Network.route net f.Traffic.id)
-      in
-      List.length inside > 1
-    in
-    List.filter crosses (Traffic.flows (Network.traffic net))
-  in
-  let flows = Array.of_list involved in
-  let n_rows = Array.length flows in
-  let costs = Array.make_matrix n_rows k 0 in
-  for row = 0 to n_rows - 1 do
-    let route = Network.route net flows.(row).Traffic.id in
-    for col = 0 to k - 1 do
-      let ci = cycle.(col) and cj = cycle.((col + 1) mod k) in
-      costs.(row).(col) <-
-        List.length (duplicate_set direction ~cycle_set ~route ~ci ~cj)
-    done
-  done;
-  finish direction ~cycle
-    ~flows:(Array.map (fun f -> f.Traffic.id) flows)
-    ~routes:(Array.map (fun f -> Network.route net f.Traffic.id) flows)
-    ~k ~n_rows costs
-
-let forward_reference net cycle = compute_reference Forward net cycle
-let backward_reference net cycle = compute_reference Backward net cycle
-
 let channels_to_duplicate t flow col =
   let ci, cj = dependency t col in
   let cycle_set = Channel.Set.of_list (Array.to_list t.cycle) in

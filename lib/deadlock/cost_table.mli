@@ -46,14 +46,6 @@ val both : Network.t -> Channel.t list -> t * t
     iteration.  Equal to [(forward net c, backward net c)].
     @raise Invalid_argument on an empty cycle. *)
 
-val forward_reference : Network.t -> Channel.t list -> t
-val backward_reference : Network.t -> Channel.t list -> t
-(** The pre-optimization implementations, kept verbatim: one
-    route rescan per table cell.  They produce identical tables to
-    {!forward}/{!backward} — property-tested — and exist as the
-    executable specification and as the benchmark baseline arm used by
-    [Removal.run ~incremental:false]. *)
-
 val dependency : t -> int -> Channel.t * Channel.t
 (** [dependency t i] is the edge labelled [D(i+1)] in the paper:
     [(ci, c(i+1 mod k))]. *)

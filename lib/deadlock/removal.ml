@@ -9,45 +9,32 @@ type report = {
 
 type heuristic = Smallest_cycle_first | Any_cycle_first
 
-let find_cycle ?(hint = []) ?(reference = false) heuristic cdg =
+let find_cycle ~hint heuristic cdg =
   match heuristic with
-  | Smallest_cycle_first ->
-      if reference then
-        Option.map
-          (List.map (Cdg.channel_of_vertex cdg))
-          (Noc_graph.Cycles.shortest_reference (Cdg.graph cdg))
-      else Cdg.smallest_cycle ~hint cdg
+  | Smallest_cycle_first -> Cdg.smallest_cycle ~hint cdg
   | Any_cycle_first ->
       Option.map
         (List.map (Cdg.channel_of_vertex cdg))
         (Noc_graph.Cycles.find_any (Cdg.graph cdg))
 
-let pick_table ?(reference = false) net directions cycle =
-  match (reference, directions) with
-  | false, [ Cost_table.Forward; Cost_table.Backward ] ->
-      (* The default direction list: price both tables in one shared
-         pass.  Strict [<] keeps the forward-wins-ties rule below. *)
+(* Algorithm 1 step 7: both tables come from one shared pass, and the
+   cheapest of [directions] wins.  Strict [<] keeps the first listed
+   direction on a tie, and [directions] lists Forward first by default,
+   so "f_cost <= b_cost chooses forward". *)
+let pick_table net directions cycle =
+  match directions with
+  | [] -> invalid_arg "Removal.run: empty direction list"
+  | first :: rest ->
       let fwd, bwd = Cost_table.both net cycle in
-      if bwd.Cost_table.best_cost < fwd.Cost_table.best_cost then bwd else fwd
-  | _ ->
-      let compute d =
-        match (reference, d) with
-        | false, Cost_table.Forward -> Cost_table.forward net cycle
-        | false, Cost_table.Backward -> Cost_table.backward net cycle
-        | true, Cost_table.Forward -> Cost_table.forward_reference net cycle
-        | true, Cost_table.Backward -> Cost_table.backward_reference net cycle
+      let table = function
+        | Cost_table.Forward -> fwd
+        | Cost_table.Backward -> bwd
       in
-      (match List.map compute directions with
-      | [] -> invalid_arg "Removal.run: empty direction list"
-      | first :: rest ->
-          (* Algorithm 1 step 7: forward wins ties, and [directions]
-             lists Forward first by default, so [<] (strict) implements
-             "f_cost <= b_cost chooses forward". *)
-          List.fold_left
-            (fun best t ->
-              if t.Cost_table.best_cost < best.Cost_table.best_cost then t
-              else best)
-            first rest)
+      List.fold_left
+        (fun best d ->
+          let t = table d in
+          if t.Cost_table.best_cost < best.Cost_table.best_cost then t else best)
+        (table first) rest
 
 (* Channels worth probing first in the next cycle search: everything
    the break just touched.  Any new cycle was either already present
@@ -60,10 +47,6 @@ let hint_channels (change : Break_cycle.change) =
 
 module Trace = Noc_obs.Trace
 
-(* Incremental CDG maintenance versus full rebuilds is the perf story
-   of this module; the counters expose the split in every trace. *)
-let cdg_incremental = Noc_obs.Metrics.counter "noc_removal_cdg_incremental_total"
-let cdg_rebuild = Noc_obs.Metrics.counter "noc_removal_cdg_rebuild_total"
 let cycles_broken = Noc_obs.Metrics.counter "noc_removal_cycles_broken_total"
 
 let direction_label = function
@@ -72,23 +55,24 @@ let direction_label = function
 
 let run ?(max_iterations = 10_000) ?(heuristic = Smallest_cycle_first)
     ?(directions = [ Cost_table.Forward; Cost_table.Backward ])
-    ?(resource = Break_cycle.Virtual_channel) ?(incremental = true)
-    ?(validate = false) net =
+    ?(resource = Break_cycle.Virtual_channel) net =
   Trace.with_span "removal.run" @@ fun run_sp ->
   let before = Topology.total_vcs (Network.topology net) in
-  let reference = not incremental in
   let finish_run report =
     Trace.add_attr run_sp "iterations" (Trace.Int report.iterations);
     Trace.add_attr run_sp "vcs_added" (Trace.Int report.vcs_added);
     Trace.add_attr run_sp "deadlock_free" (Trace.Bool report.deadlock_free);
     report
   in
+  (* Built once, then kept equal to a fresh build by patching in each
+     break's reroutes ([Cdg.apply_change]). *)
+  let cdg = Cdg.build net in
   (* One span per removal iteration, carrying the decision the paper's
      Algorithm 1 makes there: cycle length, candidate edges priced,
      chosen direction, its cost, and the VCs the break added.  The
      recursion happens outside the span so iterations are siblings
      under [removal.run], not a nest [max_iterations] deep. *)
-  let iteration iter cdg cycle =
+  let iteration iter cycle =
     Trace.with_span "removal.iteration"
       ~attrs:
         [
@@ -98,7 +82,7 @@ let run ?(max_iterations = 10_000) ?(heuristic = Smallest_cycle_first)
     @@ fun it_sp ->
     let table =
       Trace.with_span "removal.cost_tables" (fun _ ->
-          pick_table ~reference net directions cycle)
+          pick_table net directions cycle)
     in
     let change =
       Trace.with_span "removal.break" (fun _ ->
@@ -115,26 +99,17 @@ let run ?(max_iterations = 10_000) ?(heuristic = Smallest_cycle_first)
     Logs.debug (fun m ->
         m "removal: iteration %d, cycle length %d, %a" (iter + 1)
           (List.length cycle) Break_cycle.pp_change change);
-    let cdg, hint =
+    let hint =
       Trace.with_span "removal.cdg_update" (fun _ ->
-          if incremental then begin
-            Noc_obs.Metrics.incr cdg_incremental;
-            Cdg.apply_change cdg (Break_cycle.cdg_change change);
-            if validate && not (Cdg.equal cdg (Cdg.build net)) then
-              failwith "Removal.run: incremental CDG diverged from fresh build";
-            (cdg, hint_channels change)
-          end
-          else begin
-            Noc_obs.Metrics.incr cdg_rebuild;
-            (Cdg.build net, [])
-          end)
+          Cdg.apply_change cdg (Break_cycle.cdg_change change);
+          hint_channels change)
     in
-    (change, cdg, hint)
+    (change, hint)
   in
-  let rec loop iter changes cdg hint =
+  let rec loop iter changes hint =
     match
       Trace.with_span "removal.find_cycle" (fun _ ->
-          find_cycle ~hint ~reference heuristic cdg)
+          find_cycle ~hint heuristic cdg)
     with
     | None ->
         finish_run
@@ -154,11 +129,11 @@ let run ?(max_iterations = 10_000) ?(heuristic = Smallest_cycle_first)
               deadlock_free = false;
             }
         else begin
-          let change, cdg, hint = iteration iter cdg cycle in
-          loop (iter + 1) (change :: changes) cdg hint
+          let change, hint = iteration iter cycle in
+          loop (iter + 1) (change :: changes) hint
         end
   in
-  loop 0 [] (Cdg.build net) []
+  loop 0 [] []
 
 let is_deadlock_free net = Cdg.is_deadlock_free (Cdg.build net)
 

@@ -1,6 +1,6 @@
 (** The deadlock-removal driver — Algorithm 1 of the paper.
 
-    Repeatedly: build the CDG, find its smallest cycle, price breaking
+    Repeatedly: find the CDG's smallest cycle, price breaking
     every dependency of that cycle in the forward and the backward
     direction, break at the overall cheapest spot, update topology and
     routes; stop when the CDG is acyclic.  The network is mutated in
@@ -28,8 +28,6 @@ val run :
   ?heuristic:heuristic ->
   ?directions:Cost_table.direction list ->
   ?resource:Break_cycle.resource_kind ->
-  ?incremental:bool ->
-  ?validate:bool ->
   Network.t ->
   report
 (** Removes all CDG cycles.  [max_iterations] (default [10_000]) is a
@@ -39,21 +37,17 @@ val run :
     both; forward wins ties, as in Algorithm 1 step 7).  [resource]
     selects what a duplicate costs: a VC (default) or a parallel
     physical link for VC-less architectures.
+    @raise Invalid_argument when a cycle is found and [directions] is
+    empty.
 
     The CDG is built once up front and then maintained {e in place}
     across iterations via {!Noc_model.Cdg.apply_change}, with the
     channels touched by each break hinting the next smallest-cycle
     search.  Both are exact: the trajectory (cycles chosen, breaks
-    applied, VCs added) is identical to rebuilding from scratch every
-    round.  [incremental:false] forces the historical behaviour —
-    rebuild per iteration, the unpruned
-    {!Noc_graph.Cycles.shortest_reference} scan, and the
-    per-cell-rescan {!Cost_table.forward_reference} tables — and
-    exists as the benchmark comparison arm and as a cross-check.  [validate] (default off)
-    asserts [Cdg.equal (incrementally maintained) (fresh build)] after
-    every single iteration and raises [Failure] on divergence; it
-    makes each round as expensive as the rebuild path, so it is meant
-    for tests and debugging, not production runs. *)
+    applied, VCs added) is identical to rebuilding the CDG from scratch
+    every round.  The test suites pin this against a reference driver
+    that does rebuild every round, and the removal benchmark times that
+    driver as its rebuild arm. *)
 
 val is_deadlock_free : Network.t -> bool
 (** [true] iff the network's CDG is already acyclic. *)

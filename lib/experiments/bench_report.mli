@@ -3,9 +3,10 @@
 
     A report is one entry per (benchmark, switch count) point of the
     removal sweep: the deterministic outputs ([iterations],
-    [vcs_added]) plus the wall time of {!Noc_deadlock.Removal.run} in
-    its incremental (default) and rebuild-per-iteration
-    ([~incremental:false]) arms, both measured on the same host.
+    [vcs_added]) plus two wall times measured on the same host:
+    {!Noc_deadlock.Removal.run} (the incremental arm) and the test
+    oracle's reference driver, which rebuilds the CDG every iteration
+    (the rebuild arm).
 
     The gate never compares absolute times across machines: it checks
     the deterministic outputs exactly and the incremental/rebuild

@@ -68,8 +68,6 @@ let shortest_through_in ?(bound = max_int) ?allowed g v =
 
 let shortest_through ?bound g v = shortest_through_in ?bound g v
 
-let cycle_length = List.length
-
 let shortest ?(prefer = []) g =
   (* Restrict the search to vertices inside non-trivial SCCs: every
      cycle lives entirely within one SCC, so other vertices cannot
@@ -294,45 +292,6 @@ let shortest ?(prefer = []) g =
          done
        with Exit -> ());
       !best
-
-(* The pre-optimization implementation, kept verbatim as an executable
-   specification: no per-vertex bounds, no SCC-confined BFS, no
-   self-loop prescan.  [shortest] must agree with it exactly (same
-   cycle, not just same length) — the property tests check this, and
-   the bench suite uses it as the "before" arm. *)
-let shortest_reference g =
-  let through v =
-    if Digraph.mem_edge g v v then Some [ v ]
-    else begin
-      let best = ref None in
-      let consider s =
-        match Traversal.shortest_path g s v with
-        | None -> ()
-        | Some path ->
-            let len = List.length path in
-            let better =
-              match !best with None -> true | Some b -> len < List.length b
-            in
-            if better then best := Some path
-      in
-      List.iter consider (List.sort compare (Digraph.succ g v));
-      match !best with
-      | None -> None
-      | Some path -> Some (v :: List.filter (fun w -> w <> v) path)
-    end
-  in
-  let candidates = List.sort compare (List.concat (Scc.non_trivial g)) in
-  let pick best v =
-    match through v with
-    | None -> best
-    | Some c -> (
-        match best with
-        | None -> Some c
-        | Some b -> if cycle_length c < cycle_length b then Some c else best)
-  in
-  List.fold_left pick None candidates
-
-let girth g = Option.map cycle_length (shortest g)
 
 (* Johnson's elementary-cycle enumeration, bounded. *)
 let enumerate ?(max_cycles = 10_000) g =

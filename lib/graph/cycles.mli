@@ -36,18 +36,7 @@ val shortest : ?prefer:int list -> Digraph.t -> int list option
     an acceleration: the returned cycle is the same with or without
     them, and unknown vertex ids are ignored. *)
 
-val shortest_reference : Digraph.t -> int list option
-(** The straightforward implementation of {!shortest} (a full BFS from
-    every successor of every candidate vertex, no bounds, no SCC
-    confinement), kept as an executable specification: [shortest]
-    returns exactly the same cycle.  It is the differential-testing
-    oracle and the benchmark's "before" arm; prefer {!shortest}
-    everywhere else. *)
-
 val enumerate : ?max_cycles:int -> Digraph.t -> int list list
 (** All elementary cycles, by Johnson's algorithm, each rotated so its
     smallest vertex comes first; enumeration stops after [max_cycles]
     (default [10_000]) as a safety valve on pathological graphs. *)
-
-val girth : Digraph.t -> int option
-(** Length of a shortest cycle, if any. *)

@@ -92,19 +92,11 @@ let pred g v =
 let out_degree g v = List.length (succ g v)
 let in_degree g v = List.length (pred g v)
 let iter_succ f g v = List.iter f (succ g v)
-let iter_pred f g v = List.iter f (pred g v)
 
 let iter_vertices f g =
   for v = 0 to g.n - 1 do
     f v
   done
-
-let fold_vertices f init g =
-  let acc = ref init in
-  for v = 0 to g.n - 1 do
-    acc := f !acc v
-  done;
-  !acc
 
 let iter_edges f g =
   for u = 0 to g.n - 1 do

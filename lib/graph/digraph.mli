@@ -61,10 +61,8 @@ val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
 val iter_succ : (int -> unit) -> t -> int -> unit
-val iter_pred : (int -> unit) -> t -> int -> unit
 
 val iter_vertices : (int -> unit) -> t -> unit
-val fold_vertices : ('a -> int -> 'a) -> 'a -> t -> 'a
 
 val iter_edges : (int -> int -> unit) -> t -> unit
 val fold_edges : ('a -> int -> int -> 'a) -> 'a -> t -> 'a

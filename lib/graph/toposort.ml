@@ -22,24 +22,3 @@ let sort g =
     Digraph.iter_succ release g v
   done;
   if !emitted = n then Some (List.rev !order) else None
-
-let is_acyclic g = sort g <> None
-
-let layers g =
-  match sort g with
-  | None -> None
-  | Some order ->
-      let n = Digraph.n_vertices g in
-      let depth = Array.make n 0 in
-      let deepen u =
-        Digraph.iter_succ
-          (fun v -> if depth.(v) < depth.(u) + 1 then depth.(v) <- depth.(u) + 1)
-          g u
-      in
-      List.iter deepen order;
-      let max_depth = Array.fold_left max 0 depth in
-      let buckets = Array.make (if n = 0 then 1 else max_depth + 1) [] in
-      for v = n - 1 downto 0 do
-        buckets.(depth.(v)) <- v :: buckets.(depth.(v))
-      done;
-      Some (if n = 0 then [] else Array.to_list buckets)

@@ -5,11 +5,3 @@ val sort : Digraph.t -> int list option
     [order], or [None] if [g] has a cycle.  Vertices of equal depth
     come out in increasing id order (a min-heap of ready vertices), so
     the result is deterministic. *)
-
-val is_acyclic : Digraph.t -> bool
-(** [true] iff [g] has no directed cycle. *)
-
-val layers : Digraph.t -> int list list option
-(** Longest-path layering: layer 0 holds the sources, layer [k] the
-    vertices whose longest incoming path has [k] edges.  [None] on a
-    cyclic graph. *)

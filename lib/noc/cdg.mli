@@ -31,9 +31,9 @@ val equal : t -> t -> bool
 (** Structural identity: same channels in the same vertex order, same
     digraph including adjacency-list order, same dependency→flows
     index.  Two equal CDGs drive the removal algorithm through the
-    same trajectory; used by the [validate] mode of
-    [Removal.run] to assert incremental maintenance against a fresh
-    rebuild. *)
+    same trajectory; the test suites use it to check, after every
+    break of a removal run, that the CDG {!apply_change} maintains
+    equals a fresh {!build}. *)
 
 val graph : t -> Noc_graph.Digraph.t
 (** The underlying digraph; vertex ids are dense channel indices. *)

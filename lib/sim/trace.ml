@@ -12,86 +12,3 @@ let recorder () =
   let emit e = events := e :: !events in
   let dump () = List.rev !events in
   (emit, dump)
-
-let fail fmt = Format.kasprintf (fun s -> Error s) fmt
-
-let check_exclusive_ownership events =
-  let owner = Channel.Table.create 64 in
-  let rec go = function
-    | [] -> Ok ()
-    | Acquire { cycle; packet; channel } :: rest -> (
-        match Channel.Table.find_opt owner channel with
-        | Some other ->
-            fail "cycle %d: packet %d acquired %a still owned by packet %d" cycle
-              packet Channel.pp channel other
-        | None ->
-            Channel.Table.replace owner channel packet;
-            go rest)
-    | Release { cycle; packet; channel } :: rest -> (
-        match Channel.Table.find_opt owner channel with
-        | Some p when p = packet ->
-            Channel.Table.remove owner channel;
-            go rest
-        | Some p ->
-            fail "cycle %d: packet %d released %a owned by packet %d" cycle packet
-              Channel.pp channel p
-        | None ->
-            fail "cycle %d: packet %d released unowned %a" cycle packet Channel.pp
-              channel)
-    | (Inject _ | Hop _ | Deliver _) :: rest -> go rest
-  in
-  go events
-
-let check_balanced events =
-  let acquired = Hashtbl.create 64 in
-  let injected = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      match e with
-      | Acquire { packet; channel; _ } ->
-          Hashtbl.replace acquired (packet, channel) ()
-      | Release { packet; channel; _ } -> Hashtbl.remove acquired (packet, channel)
-      | Inject { packet; _ } -> Hashtbl.replace injected packet ()
-      | Deliver { packet; _ } -> Hashtbl.remove injected packet
-      | Hop _ -> ())
-    events;
-  if Hashtbl.length acquired > 0 then
-    let (packet, channel), () = Hashtbl.to_seq acquired |> List.of_seq |> List.hd in
-    fail "packet %d never released %a" packet Channel.pp channel
-  else if Hashtbl.length injected > 0 then
-    let packet = Hashtbl.to_seq_keys injected |> List.of_seq |> List.hd in
-    fail "packet %d injected but never delivered" packet
-  else Ok ()
-
-let check_route_order route_of events =
-  (* Position of the next expected acquisition per packet. *)
-  let next = Hashtbl.create 64 in
-  let rec go = function
-    | [] -> Ok ()
-    | Acquire { cycle; packet; channel } :: rest -> (
-        let route = route_of packet in
-        let pos = Option.value ~default:0 (Hashtbl.find_opt next packet) in
-        match List.nth_opt route pos with
-        | Some expected when Channel.equal expected channel ->
-            Hashtbl.replace next packet (pos + 1);
-            go rest
-        | Some expected ->
-            fail "cycle %d: packet %d acquired %a, route expects %a at hop %d"
-              cycle packet Channel.pp channel Channel.pp expected pos
-        | None ->
-            fail "cycle %d: packet %d acquired %a past the end of its route" cycle
-              packet Channel.pp channel)
-    | (Inject _ | Hop _ | Deliver _ | Release _) :: rest -> go rest
-  in
-  go events
-
-let pp_event ppf = function
-  | Inject { cycle; packet } -> Format.fprintf ppf "@%d inject pkt%d" cycle packet
-  | Acquire { cycle; packet; channel } ->
-      Format.fprintf ppf "@%d pkt%d acquires %a" cycle packet Channel.pp channel
-  | Release { cycle; packet; channel } ->
-      Format.fprintf ppf "@%d pkt%d releases %a" cycle packet Channel.pp channel
-  | Hop { cycle; packet; flit; channel } ->
-      Format.fprintf ppf "@%d pkt%d flit %d -> %a" cycle packet flit Channel.pp
-        channel
-  | Deliver { cycle; packet } -> Format.fprintf ppf "@%d deliver pkt%d" cycle packet

@@ -1,10 +1,9 @@
-(** Event tracing and invariant checking for the simulator.
+(** Event tracing for the simulator.
 
     The engine can emit one event per observable action (channel
-    acquisition/release, flit hop, injection, delivery).  A recorded
-    trace can then be checked against the defining invariants of
-    wormhole flow control — catching simulator bugs that aggregate
-    statistics would hide. *)
+    acquisition/release, flit hop, injection, delivery).  The test
+    suites check a recorded list against the defining invariants of
+    wormhole flow control. *)
 
 open Noc_model
 
@@ -23,17 +22,3 @@ type event =
 val recorder : unit -> (event -> unit) * (unit -> event list)
 (** [let emit, dump = recorder ()]: feed [emit] to
     {!Engine.run}; [dump ()] returns the events in emission order. *)
-
-val check_exclusive_ownership : event list -> (unit, string) result
-(** No channel is ever acquired while another packet holds it — the
-    wormhole property itself. *)
-
-val check_balanced : event list -> (unit, string) result
-(** On a completed run every [Acquire] has a matching [Release] and
-    every [Inject] a matching [Deliver]. *)
-
-val check_route_order : (int -> Channel.t list) -> event list -> (unit, string) result
-(** Given each packet's route (by packet id), its acquisitions must
-    happen in route order with no skips. *)
-
-val pp_event : Format.formatter -> event -> unit

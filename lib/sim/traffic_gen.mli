@@ -10,14 +10,4 @@ val burst :
     0 — the adversarial pattern that exposes wormhole deadlocks: long
     packets grab channel chains simultaneously. *)
 
-val periodic :
-  Network.t ->
-  packet_length:int ->
-  packets_per_flow:int ->
-  interval:int ->
-  Packet.t list
-(** Flow [i] injects packet [j] at cycle [i + j * interval]: staggered
-    steady-state traffic.
-    @raise Invalid_argument when [interval < 1]. *)
-
 val total_flits : Packet.t list -> int

@@ -7,6 +7,7 @@
 
 open Noc_model
 open Noc_analysis
+open Noc_oracle
 
 let check = Alcotest.check
 let bool_c = Alcotest.bool

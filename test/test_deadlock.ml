@@ -1,5 +1,6 @@
 open Noc_model
 open Noc_deadlock
+open Noc_oracle
 
 let check = Alcotest.check
 let bool_c = Alcotest.bool
@@ -810,20 +811,46 @@ let prop_optimal_bounds_heuristic =
       o.Optimal.vcs_added <= h.Removal.vcs_added
       && Removal.is_deadlock_free o.Optimal.solution)
 
+(* Walks a removal trajectory the way [Removal.run] does — smallest
+   cycle of the maintained CDG, the cheaper table with forward winning
+   ties, the break, then [Cdg.apply_change] — and checks after every
+   break that the maintained CDG equals a fresh build.  [Ok n] after
+   [n] checked breaks, or [Error i] at the first break that diverged. *)
+let maintained_cdg_trajectory net =
+  let cdg = Cdg.build net in
+  let rec go breaks =
+    match Cdg.smallest_cycle cdg with
+    | None -> Ok breaks
+    | Some cycle ->
+        let fwd, bwd = Cost_table.both net cycle in
+        let table =
+          if bwd.Cost_table.best_cost < fwd.Cost_table.best_cost then bwd else fwd
+        in
+        let change = Break_cycle.apply net table in
+        Cdg.apply_change cdg (Break_cycle.cdg_change change);
+        if Cdg.equal cdg (Cdg.build net) then go (breaks + 1)
+        else Error (breaks + 1)
+  in
+  go 0
+
+let prop_maintained_cdg_exact =
+  QCheck.Test.make ~name:"maintained CDG equals a fresh build after every break"
+    ~count:60 arbitrary_net (fun input ->
+      match maintained_cdg_trajectory (build_net input) with
+      | Ok _ -> true
+      | Error i -> QCheck.Test.fail_reportf "diverged at break %d" i)
+
 let prop_incremental_cdg_exact =
   (* The tentpole invariant: maintaining the CDG in place across
-     removal iterations ([validate] re-checks [Cdg.equal] against a
-     fresh [Cdg.build] after every single break) yields the same
-     trajectory as rebuilding from scratch each round. *)
+     removal iterations yields the same trajectory, break for break, as
+     the reference driver that rebuilds it from scratch each round. *)
   QCheck.Test.make ~name:"incremental removal is exactly the rebuild removal"
     ~count:60 arbitrary_net (fun input ->
       let inc_net = build_net input in
       let reb_net = build_net input in
-      let inc = Removal.run ~validate:true inc_net in
-      let reb = Removal.run ~incremental:false reb_net in
-      inc.Removal.iterations = reb.Removal.iterations
-      && inc.Removal.vcs_added = reb.Removal.vcs_added
-      && Cdg.equal (Cdg.build inc_net) (Cdg.build reb_net))
+      let inc = Removal.run inc_net in
+      let reb = Reference_removal.run reb_net in
+      inc = reb && Cdg.equal (Cdg.build inc_net) (Cdg.build reb_net))
 
 let prop_cost_tables_match_reference =
   (* The shared-pass cost tables must reproduce the seed's per-cell
@@ -835,8 +862,8 @@ let prop_cost_tables_match_reference =
       | None -> true
       | Some cycle ->
           let fwd, bwd = Cost_table.both net cycle in
-          fwd = Cost_table.forward_reference net cycle
-          && bwd = Cost_table.backward_reference net cycle)
+          fwd = Cost_table_oracle.forward net cycle
+          && bwd = Cost_table_oracle.backward net cycle)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -849,6 +876,7 @@ let qcheck_cases =
       prop_certificate_witness_checks;
       prop_break_removes_the_edge;
       prop_optimal_bounds_heuristic;
+      prop_maintained_cdg_exact;
       prop_incremental_cdg_exact;
       prop_cost_tables_match_reference;
     ]
@@ -875,13 +903,10 @@ let synthetic_nets () =
 let test_incremental_validates_on_synthetic () =
   List.iter
     (fun (name, net) ->
-      (* [validate] raises Failure the first time the incrementally
-         maintained CDG diverges from a fresh build. *)
       let fixed = Network.copy net in
-      let report = Removal.run ~validate:true fixed in
-      check bool_c
-        (Printf.sprintf "%s: deadlock free" name)
-        true report.Removal.deadlock_free;
+      (match maintained_cdg_trajectory fixed with
+      | Ok _ -> ()
+      | Error i -> Alcotest.failf "%s: maintained CDG diverged at break %d" name i);
       check bool_c
         (Printf.sprintf "%s: fresh CDG of the result is acyclic" name)
         true
@@ -894,13 +919,16 @@ let test_incremental_equals_rebuild_on_synthetic () =
       let inc_net = Network.copy net in
       let reb_net = Network.copy net in
       let inc = Removal.run inc_net in
-      let reb = Removal.run ~incremental:false reb_net in
+      let reb = Reference_removal.run reb_net in
       check int_c
         (Printf.sprintf "%s: iterations" name)
         reb.Removal.iterations inc.Removal.iterations;
       check int_c
         (Printf.sprintf "%s: vcs added" name)
         reb.Removal.vcs_added inc.Removal.vcs_added;
+      check bool_c
+        (Printf.sprintf "%s: same report, every break included" name)
+        true (inc = reb);
       check bool_c
         (Printf.sprintf "%s: final CDGs equal" name)
         true
@@ -917,11 +945,11 @@ let test_cost_tables_reference_on_synthetic () =
           check bool_c
             (Printf.sprintf "%s: forward table" name)
             true
-            (fwd = Cost_table.forward_reference net cycle);
+            (fwd = Cost_table_oracle.forward net cycle);
           check bool_c
             (Printf.sprintf "%s: backward table" name)
             true
-            (bwd = Cost_table.backward_reference net cycle))
+            (bwd = Cost_table_oracle.backward net cycle))
     (synthetic_nets ())
 
 let () =

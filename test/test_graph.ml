@@ -1,4 +1,5 @@
 open Noc_graph
+open Noc_oracle
 
 let check = Alcotest.check
 let bool_c = Alcotest.bool
@@ -192,7 +193,7 @@ let test_scc_self_loop_non_trivial () =
 let test_condensation_acyclic () =
   let g = Digraph.of_edges [ (0, 1); (1, 0); (1, 2); (2, 3); (3, 2) ] in
   let _, cg = Scc.condensation g in
-  check bool_c "condensation acyclic" true (Toposort.is_acyclic cg);
+  check bool_c "condensation acyclic" true (Toposort.sort cg <> None);
   check int_c "two vertices" 2 (Digraph.n_vertices cg);
   check int_c "one edge" 1 (Digraph.n_edges cg)
 
@@ -265,10 +266,6 @@ let test_shortest_through () =
   let acyclic = chain 3 in
   check bool_c "none in chain" true (Cycles.shortest_through acyclic 1 = None)
 
-let test_girth () =
-  check Alcotest.(option int) "ring girth" (Some 4) (Cycles.girth (ring 4));
-  check Alcotest.(option int) "chain girth" None (Cycles.girth (chain 4))
-
 let test_enumerate_ring () =
   let cycles = Cycles.enumerate (ring 4) in
   check int_c "single elementary cycle" 1 (List.length cycles);
@@ -310,18 +307,6 @@ let test_toposort_respects_edges () =
         (fun (u, v) ->
           check bool_c (Printf.sprintf "%d before %d" u v) true (pos.(u) < pos.(v)))
         edges
-
-let test_layers () =
-  let g = Digraph.of_edges [ (0, 2); (1, 2); (2, 3) ] in
-  check
-    Alcotest.(option (list (list int)))
-    "longest-path layers"
-    (Some [ [ 0; 1 ]; [ 2 ]; [ 3 ] ])
-    (Toposort.layers g)
-
-let test_layers_cyclic () =
-  check Alcotest.(option (list (list int))) "cyclic layers" None
-    (Toposort.layers (ring 3))
 
 (* ------------------------------------------------------------------ *)
 (* Paths                                                               *)
@@ -486,7 +471,7 @@ let prop_scc_vs_toposort =
   QCheck.Test.make ~name:"acyclic iff all SCCs trivial" ~count:200 arbitrary_graph
     (fun input ->
       let g = build input in
-      Toposort.is_acyclic g = (Scc.non_trivial g = []))
+      (Toposort.sort g <> None) = (Scc.non_trivial g = []))
 
 let prop_shortest_cycle_valid =
   QCheck.Test.make ~name:"shortest cycle is a real cycle" ~count:200 arbitrary_graph
@@ -617,7 +602,7 @@ let prop_shortest_matches_reference =
   QCheck.Test.make ~name:"shortest equals the reference implementation"
     ~count:300 arbitrary_graph (fun input ->
       let g = build input in
-      Cycles.shortest g = Cycles.shortest_reference g)
+      Cycles.shortest g = Cycles_oracle.shortest g)
 
 (* Search hints are pure acceleration: any prefer list (including
    out-of-range vertices) must leave the result bit-identical. *)
@@ -716,7 +701,6 @@ let () =
           tc "shortest prefers the 2-cycle" test_shortest_prefers_small;
           tc "shortest handles self loops" test_shortest_self_loop;
           tc "shortest through a vertex" test_shortest_through;
-          tc "girth" test_girth;
           tc "enumerate ring" test_enumerate_ring;
           tc "enumerate K3" test_enumerate_complete3;
           tc "enumerate bounded" test_enumerate_bounded;
@@ -726,8 +710,6 @@ let () =
           tc "chain" test_toposort_chain;
           tc "cyclic" test_toposort_cyclic;
           tc "respects edges" test_toposort_respects_edges;
-          tc "layers" test_layers;
-          tc "layers cyclic" test_layers_cyclic;
         ] );
       ( "paths",
         [

@@ -1,4 +1,5 @@
 open Noc_model
+open Noc_oracle
 
 let check = Alcotest.check
 let bool_c = Alcotest.bool

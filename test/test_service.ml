@@ -1,4 +1,5 @@
 open Noc_service
+open Noc_oracle
 module Json = Noc_json.Json
 
 let check = Alcotest.check

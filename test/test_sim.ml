@@ -1,5 +1,6 @@
 open Noc_model
 open Noc_sim
+open Noc_oracle
 
 let check = Alcotest.check
 let bool_c = Alcotest.bool
@@ -52,29 +53,6 @@ let test_burst_generation () =
   check int_c "flits" 48 (Traffic_gen.total_flits packets);
   check bool_c "all at cycle 0" true
     (List.for_all (fun (p : Packet.t) -> p.Packet.inject_at = 0) packets)
-
-let test_periodic_generation () =
-  let ring = Fixtures.paper_ring () in
-  let packets =
-    Traffic_gen.periodic ring.Fixtures.net ~packet_length:2 ~packets_per_flow:2
-      ~interval:10
-  in
-  check int_c "8 packets" 8 (List.length packets);
-  let flow0 =
-    List.filter (fun (p : Packet.t) -> Ids.Flow.to_int p.Packet.flow = 0) packets
-  in
-  check
-    Alcotest.(list int)
-    "flow 0 staggered" [ 0; 10 ]
-    (List.sort compare (List.map (fun (p : Packet.t) -> p.Packet.inject_at) flow0))
-
-let test_periodic_bad_interval () =
-  let ring = Fixtures.paper_ring () in
-  Alcotest.check_raises "interval" (Invalid_argument "Traffic_gen.periodic: interval < 1")
-    (fun () ->
-      ignore
-        (Traffic_gen.periodic ring.Fixtures.net ~packet_length:1 ~packets_per_flow:1
-           ~interval:0))
 
 let test_generation_skips_local_flows () =
   (* A flow between cores on the same switch has an empty route and
@@ -506,13 +484,13 @@ let test_trace_mesh_invariants () =
   | Engine.Completed _ -> ()
   | Engine.Deadlocked _ | Engine.Timed_out _ -> Alcotest.fail "expected completion");
   check bool_c "events recorded" true (events <> []);
-  (match Trace.check_exclusive_ownership events with
+  (match Trace_oracle.check_exclusive_ownership events with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("ownership: " ^ e));
-  (match Trace.check_balanced events with
+  (match Trace_oracle.check_balanced events with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("balance: " ^ e));
-  match Trace.check_route_order (route_table packets) events with
+  match Trace_oracle.check_route_order (route_table packets) events with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("route order: " ^ e)
 
@@ -526,9 +504,9 @@ let test_trace_deadlock_unbalanced () =
   | Engine.Deadlocked _ -> ()
   | Engine.Completed _ | Engine.Timed_out _ -> Alcotest.fail "expected deadlock");
   check bool_c "ownership still exclusive" true
-    (Trace.check_exclusive_ownership events = Ok ());
+    (Trace_oracle.check_exclusive_ownership events = Ok ());
   check bool_c "balance violated (stuck packets)" true
-    (Result.is_error (Trace.check_balanced events))
+    (Result.is_error (Trace_oracle.check_balanced events))
 
 let test_trace_checkers_reject_corrupt () =
   let c = Fixtures.ch 0 in
@@ -539,7 +517,7 @@ let test_trace_checkers_reject_corrupt () =
     ]
   in
   check bool_c "double acquire caught" true
-    (Result.is_error (Trace.check_exclusive_ownership double_acquire));
+    (Result.is_error (Trace_oracle.check_exclusive_ownership double_acquire));
   let foreign_release =
     [
       Trace.Acquire { cycle = 0; packet = 1; channel = c };
@@ -547,10 +525,10 @@ let test_trace_checkers_reject_corrupt () =
     ]
   in
   check bool_c "foreign release caught" true
-    (Result.is_error (Trace.check_exclusive_ownership foreign_release));
+    (Result.is_error (Trace_oracle.check_exclusive_ownership foreign_release));
   let unowned_release = [ Trace.Release { cycle = 0; packet = 1; channel = c } ] in
   check bool_c "unowned release caught" true
-    (Result.is_error (Trace.check_exclusive_ownership unowned_release))
+    (Result.is_error (Trace_oracle.check_exclusive_ownership unowned_release))
 
 let test_trace_route_order_checker () =
   let c0 = Fixtures.ch 0 and c1 = Fixtures.ch 1 in
@@ -561,10 +539,10 @@ let test_trace_route_order_checker () =
       Trace.Acquire { cycle = 1; packet = 1; channel = c1 };
     ]
   in
-  check bool_c "in order ok" true (Trace.check_route_order routes ok = Ok ());
+  check bool_c "in order ok" true (Trace_oracle.check_route_order routes ok = Ok ());
   let skipped = [ Trace.Acquire { cycle = 0; packet = 1; channel = c1 } ] in
   check bool_c "skip caught" true
-    (Result.is_error (Trace.check_route_order routes skipped))
+    (Result.is_error (Trace_oracle.check_route_order routes skipped))
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -593,9 +571,9 @@ let prop_trace_invariants_hold =
       let outcome, events = run_traced net packets in
       match outcome with
       | Engine.Completed _ ->
-          Trace.check_exclusive_ownership events = Ok ()
-          && Trace.check_balanced events = Ok ()
-          && Trace.check_route_order (route_table packets) events = Ok ()
+          Trace_oracle.check_exclusive_ownership events = Ok ()
+          && Trace_oracle.check_balanced events = Ok ()
+          && Trace_oracle.check_route_order (route_table packets) events = Ok ()
       | Engine.Deadlocked _ | Engine.Timed_out _ -> false)
 
 let prop_flit_conservation =
@@ -921,8 +899,6 @@ let () =
       ( "traffic_gen",
         [
           tc "burst" test_burst_generation;
-          tc "periodic" test_periodic_generation;
-          tc "bad interval" test_periodic_bad_interval;
           tc "skips local flows" test_generation_skips_local_flows;
         ] );
       ( "deadlock_detect",

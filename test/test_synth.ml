@@ -1,5 +1,6 @@
 open Noc_model
 open Noc_synth
+open Noc_oracle
 
 let check = Alcotest.check
 let bool_c = Alcotest.bool
