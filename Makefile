@@ -65,8 +65,11 @@ trace: build
 # exit 2), then the registry warm across a restart;
 # require a clean SIGTERM drain and a 100% warm-hit second pass.  Then
 # the crash path: a cold pass on a second store, `kill -9` (no drain,
-# so no index flush), and a restart that must still serve all 12 warm
-# from that store.  The pool's workers start with the first store miss:
+# so no flush), which must leave one file, the store's log, and a
+# restart that must still serve all 12 warm from that store.  Last, the
+# log's final 10 bytes are cut, a record torn mid-append: the next
+# restart serves the other 11 warm.  The pool's workers start with the
+# first store miss:
 # each cold daemon must gain threads over its first pass, and each warm
 # restart must end its 12 hits with the threads it started with (read
 # from /proc).  Uses the built binary directly so the daemon holds no
@@ -114,6 +117,9 @@ serve-smoke: build
 	  | grep -q '12 ok, 0 failed, 0 rejected, 0 overloaded, 0 warm hits'; \
 	expect_threads -gt cold; \
 	kill -KILL "$$server"; wait "$$server" || true; \
+	files="$$(find "$$dir/crash-store" -type f | wc -l)"; \
+	[ "$$files" -eq 1 ] \
+	  || { echo "serve-smoke: $$files files in the crash store, want 1"; exit 1; }; \
 	rm -f "$$sock"; \
 	"$$noc" serve --socket "$$sock" --store "$$dir/crash-store" -j 2 & \
 	server=$$!; \
@@ -124,7 +130,14 @@ serve-smoke: build
 	expect_threads -eq warm; \
 	"$$noc" serve-stats --socket "$$sock" | grep -q '^store_hits 12$$'; \
 	kill -TERM "$$server"; wait "$$server"; \
-	echo "serve-smoke: OK (cold run, inline admission, clean drain, 100% warm restart, 100% warm after kill -9, warm daemons start no worker)"
+	truncate -s -10 "$$dir/crash-store/store.log"; \
+	"$$noc" serve --socket "$$sock" --store "$$dir/crash-store" -j 2 & \
+	server=$$!; \
+	for i in $$(seq 1 100); do [ -S "$$sock" ] && break; sleep 0.1; done; \
+	"$$noc" submit test/cli/registry_jobs.json --socket "$$sock" \
+	  | grep -q '12 ok, 0 failed, 0 rejected, 0 overloaded, 11 warm hits'; \
+	kill -TERM "$$server"; wait "$$server"; \
+	echo "serve-smoke: OK (cold run, inline admission, clean drain, 100% warm restart, 100% warm after kill -9 from one log file, 11 of 12 warm after a torn record, warm daemons start no worker)"
 
 # The live-telemetry smoke test, mirroring the metrics-smoke CI job in
 # miniature: boot the daemon with a Prometheus listener and a trace,

@@ -1137,7 +1137,7 @@ let serve_cmd =
               backpressure, and streams results as they complete.";
            `P
              "SIGTERM or SIGINT drains gracefully: stop accepting, finish \
-              in-flight jobs, flush the trace and the store index, \
+              in-flight jobs, flush the trace and the store, \
               exit 0.  See docs/SERVICE.md for the wire protocol and \
               store layout, docs/OBSERVABILITY.md for the metrics \
               endpoint and SLOs.";

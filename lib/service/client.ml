@@ -82,11 +82,18 @@ let metrics t =
 
 let stats t = Result.map (fun r -> r.Wire.mr_stats) (metrics t)
 
-(* Submit every job (id = list index), then collect exactly one reply
-   per id, calling [on_result] in submission order (buffering replies
-   that complete out of order — same streaming discipline as
-   Batch.run).  Job files are small and the server reads eagerly, so
-   write-all-then-read cannot deadlock on socket buffers. *)
+(* Submissions in flight at once: below the daemon's default queue
+   capacity of 64, so one client alone is never answered Overloaded.
+   The window also keeps the client reading: writing every frame before
+   reading any deadlocks once the daemon blocks writing replies this
+   client has not read yet. *)
+let window = 32
+
+(* Submit every job (id = list index) and collect exactly one reply per
+   id, calling [on_result] in submission order (buffering replies that
+   complete out of order — same streaming discipline as Batch.run).
+   Whenever [window] submissions are outstanding, the next reply is
+   read before the next frame is written. *)
 let submit_all ?corr_prefix t jobs ~on_result =
   let jobs = Array.of_list jobs in
   let n = Array.length jobs in
@@ -94,15 +101,6 @@ let submit_all ?corr_prefix t jobs ~on_result =
   let corr i =
     Option.map (fun p -> Printf.sprintf "%s-%d" p i) corr_prefix
   in
-  let rec send_all i =
-    if i = n then Ok ()
-    else
-      let* () =
-        request t (Wire.Submit { id = i; corr = corr i; job = jobs.(i) })
-      in
-      send_all (i + 1)
-  in
-  let* () = send_all 0 in
   let next_to_stream = ref 0 in
   let stream () =
     while
@@ -118,23 +116,32 @@ let submit_all ?corr_prefix t jobs ~on_result =
       ()
     done
   in
-  let rec collect remaining =
-    if remaining = 0 then Ok ()
-    else
-      let* response = next_response t in
-      match response with
-      | Wire.Result { id; _ } | Wire.Rejected { id; _ }
-      | Wire.Overloaded { id; _ }
-        when id >= 0 && id < n ->
-          if replies.(id) <> None then
-            Error (Printf.sprintf "duplicate reply for job %d" id)
-          else begin
-            replies.(id) <- Some response;
-            stream ();
-            collect (remaining - 1)
-          end
-      | Wire.Error_msg m -> Error (Printf.sprintf "server error: %s" m)
-      | _ -> Error "reply with an unknown or out-of-range job id"
+  let receive () =
+    let* response = next_response t in
+    match response with
+    | Wire.Result { id; _ } | Wire.Rejected { id; _ }
+    | Wire.Overloaded { id; _ }
+      when id >= 0 && id < n ->
+        if replies.(id) <> None then
+          Error (Printf.sprintf "duplicate reply for job %d" id)
+        else begin
+          replies.(id) <- Some response;
+          stream ();
+          Ok ()
+        end
+    | Wire.Error_msg m -> Error (Printf.sprintf "server error: %s" m)
+    | _ -> Error "reply with an unknown or out-of-range job id"
   in
-  let* () = collect n in
+  let rec go sent received =
+    if received = n then Ok ()
+    else if sent < n && sent - received < window then
+      let* () =
+        request t (Wire.Submit { id = sent; corr = corr sent; job = jobs.(sent) })
+      in
+      go (sent + 1) received
+    else
+      let* () = receive () in
+      go sent (received + 1)
+  in
+  let* () = go 0 0 in
   Ok (Array.to_list (Array.map Option.get replies))

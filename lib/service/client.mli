@@ -33,6 +33,9 @@ val submit_all :
 (** Submit every job (reply-matching id = list index) and collect one
     reply per job, invoking [on_result] in submission order regardless
     of completion order.  The returned list is in submission order.
+    At most 32 submissions are outstanding at once: replies are read
+    while frames are written, so a job file of any length neither
+    deadlocks nor overloads an otherwise idle default daemon.
     When [corr_prefix] is given, job [i] carries the correlation id
     ["<corr_prefix>-<i>"] into the daemon's [serve.submit] and
     [serve.job] spans. *)

@@ -33,8 +33,8 @@ let oldest t =
   Hashtbl.fold
     (fun key slot acc ->
       match acc with
-      | Some (_, stamp) when stamp <= slot.stamp -> acc
-      | _ -> Some (key, slot.stamp))
+      | Some (_, s) when s.stamp <= slot.stamp -> acc
+      | _ -> Some (key, slot))
     t.table None
 
 let add t key value =
@@ -48,12 +48,12 @@ let add t key value =
       if Hashtbl.length t.table <= t.capacity then None
       else
         match oldest t with
-        | Some (victim, _) ->
+        | Some (victim, slot) ->
             remove t victim;
-            Some victim
+            Some (victim, slot.value)
         | None -> assert false)
 
-let keys t =
-  Hashtbl.fold (fun key slot acc -> (slot.stamp, key) :: acc) t.table []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare b a)
+let bindings t =
+  Hashtbl.fold (fun key slot acc -> (slot.stamp, (key, slot.value)) :: acc) t.table []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.map snd

@@ -17,12 +17,12 @@ val mem : 'a t -> string -> bool
 val find : 'a t -> string -> 'a option
 (** The value under the key, made most recent. *)
 
-val add : 'a t -> string -> 'a -> string option
+val add : 'a t -> string -> 'a -> (string * 'a) option
 (** Insert or replace the key as the most recent entry.  When that
     takes the table past capacity, the least recent entry is removed
-    and its key returned. *)
+    and returned. *)
 
 val remove : 'a t -> string -> unit
 
-val keys : 'a t -> string list
-(** Every key, most recent first. *)
+val bindings : 'a t -> (string * 'a) list
+(** Every entry, least recent first. *)

@@ -27,7 +27,7 @@
    Graceful drain ([stop], wired to SIGTERM by noc_tool serve): stop
    accepting, answer new submissions with a draining rejection, wait
    for in-flight jobs, shut the pool down (joining the workers closes
-   their trace spans), flush the store index, close everything,
+   their trace spans), flush the store, close everything,
    return.  The self-pipe makes [stop] safe to call from a
    signal handler or another domain: it only sets an atomic and writes
    one byte. *)

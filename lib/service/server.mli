@@ -13,7 +13,7 @@
     reading can stall it (ROADMAP item 1).  {!stop} — safe from a
     signal handler — triggers a graceful drain: stop accepting, reject
     new submissions, finish in-flight jobs, shut the pool down, flush
-    the store index, then return from {!run}.
+    the store, then return from {!run}.
 
     Under an installed {!Noc_obs.Trace} collector, {!run} is one
     [serve.run] span; each submission is one [serve.submit] span on the

@@ -885,33 +885,53 @@ let qcheck_cases =
 (* Incremental CDG maintenance on fixed-seed synthetic topologies      *)
 (* ------------------------------------------------------------------ *)
 
+(* The first five designs synthesize acyclic CDGs; the last two are
+   cyclic, so the group also checks breaks, CDG patches and cost
+   tables. *)
 let synthetic_nets () =
   let open Noc_benchmarks.Synthetic in
+  let d36_8 =
+    match Noc_benchmarks.Registry.find "D36_8" with
+    | Some spec -> spec.Noc_benchmarks.Spec.build ()
+    | None -> Alcotest.fail "missing benchmark"
+  in
+  let default = Noc_synth.Custom.default_options in
+  let budget2 = { default with max_out_degree = 2; max_in_degree = 2 } in
   List.map
-    (fun (name, traffic, n_switches) ->
-      (name, Noc_synth.Custom.synthesize_exn traffic ~n_switches))
+    (fun (name, traffic, n_switches, options) ->
+      (name, Noc_synth.Custom.synthesize_exn ~options traffic ~n_switches))
     [
-      ("uniform/s7", uniform ~n_cores:16 ~flows_per_core:3 ~seed:7, 8);
-      ("uniform/s23", uniform ~n_cores:20 ~flows_per_core:4 ~seed:23, 10);
-      ("transpose", transpose ~n_cores:16 ~bandwidth:100., 7);
+      ("uniform/s7", uniform ~n_cores:16 ~flows_per_core:3 ~seed:7, 8, default);
+      ("uniform/s23", uniform ~n_cores:20 ~flows_per_core:4 ~seed:23, 10, default);
+      ("transpose", transpose ~n_cores:16 ~bandwidth:100., 7, default);
       ( "hotspot",
         hotspot ~n_cores:12 ~n_hotspots:2 ~background:20. ~hotspot_bw:120.,
-        6 );
-      ("neighbour_ring", neighbour_ring ~n_cores:10 ~bandwidth:80., 5);
+        6,
+        default );
+      ("neighbour_ring", neighbour_ring ~n_cores:10 ~bandwidth:80., 5, default);
+      ("D36_8/14", d36_8, 14, default);
+      ("uniform/s23/budget2", uniform ~n_cores:20 ~flows_per_core:4 ~seed:23, 10, budget2);
     ]
 
 let test_incremental_validates_on_synthetic () =
-  List.iter
-    (fun (name, net) ->
-      let fixed = Network.copy net in
-      (match maintained_cdg_trajectory fixed with
-      | Ok _ -> ()
-      | Error i -> Alcotest.failf "%s: maintained CDG diverged at break %d" name i);
-      check bool_c
-        (Printf.sprintf "%s: fresh CDG of the result is acyclic" name)
-        true
-        (Removal.is_deadlock_free fixed))
-    (synthetic_nets ())
+  let breaks =
+    List.map
+      (fun (name, net) ->
+        let fixed = Network.copy net in
+        let breaks =
+          match maintained_cdg_trajectory fixed with
+          | Ok breaks -> breaks
+          | Error i -> Alcotest.failf "%s: maintained CDG diverged at break %d" name i
+        in
+        check bool_c
+          (Printf.sprintf "%s: fresh CDG of the result is acyclic" name)
+          true
+          (Removal.is_deadlock_free fixed);
+        breaks)
+      (synthetic_nets ())
+  in
+  check bool_c "at least two designs need breaks" true
+    (List.length (List.filter (fun b -> b > 0) breaks) >= 2)
 
 let test_incremental_equals_rebuild_on_synthetic () =
   List.iter

@@ -1093,10 +1093,60 @@ let with_temp_dir f =
 
 let hex_key seed = Digest.to_hex (Digest.string seed)
 
-let object_path ~root key =
-  Filename.concat
-    (Filename.concat (Filename.concat root "objects") (String.sub key 0 2))
-    (String.sub key 2 (String.length key - 2) ^ ".json")
+let log_file root = Filename.concat root "store.log"
+
+(* The log's whole lines, each with its offset, newline dropped. *)
+let log_records root =
+  let text = In_channel.with_open_bin (log_file root) In_channel.input_all in
+  let rec go off acc =
+    match String.index_from_opt text off '\n' with
+    | None -> List.rev acc
+    | Some nl -> go (nl + 1) ((off, String.sub text off (nl - off)) :: acc)
+  in
+  go 0 []
+
+(* The keys whose last record is a put, in log order (oldest first):
+   the table a reopen restores. *)
+let live_keys root =
+  List.rev
+    (List.fold_left
+       (fun order (_, line) ->
+         match String.index_opt line ' ' with
+         | Some i ->
+             let key = String.sub line 0 i in
+             let order = List.filter (( <> ) key) order in
+             if String.length line > i + 1 && line.[i + 1] = '{' then key :: order
+             else order
+         | None -> order)
+       [] (log_records root))
+
+(* Offset and length (newline excluded) of [key]'s newest put. *)
+let newest_put root key =
+  List.fold_left
+    (fun found (off, line) ->
+      if String.starts_with ~prefix:(key ^ " {") line then Some (off, String.length line)
+      else found)
+    None (log_records root)
+
+let overwrite_log root ~off text =
+  let fd = Unix.openfile (log_file root) [ Unix.O_WRONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      ignore (Unix.write_substring fd text 0 (String.length text)))
+
+(* Overwrite the payload of [key]'s newest put in place, at the same
+   length: the line still reads as a put, its payload no longer
+   parses. *)
+let corrupt_record root key =
+  match newest_put root key with
+  | None -> Alcotest.fail "no put record to corrupt"
+  | Some (off, len) ->
+      let head = String.length key + 1 in
+      overwrite_log root ~off:(off + head) ("{" ^ String.make (len - head - 1) 'x')
+
+let log_size root = (Unix.stat (log_file root)).Unix.st_size
 
 let test_store_persists_across_reopen () =
   with_temp_dir (fun dir ->
@@ -1119,24 +1169,7 @@ let test_store_persists_across_reopen () =
       check int_c "one hit" 1 stats.Store.hits;
       check int_c "no misses" 0 stats.Store.misses)
 
-let test_store_rebuilds_missing_index () =
-  with_temp_dir (fun dir ->
-      let root = Filename.concat dir "store" in
-      let s1 = Store.create ~root ~capacity:8 in
-      let keys = List.map (fun i -> hex_key (string_of_int i)) [ 1; 2; 3 ] in
-      List.iteri
-        (fun i k -> ignore (Store.store s1 k (Outcome.done_ [ ("k", float_of_int i) ])))
-        keys;
-      Store.flush s1;
-      (* The index is a rebuildable cache: losing it must not lose data. *)
-      Sys.remove (Filename.concat root "index.json");
-      let s2 = Store.create ~root ~capacity:8 in
-      check int_c "rescan found every object" 3 (Store.stats s2).Store.entries;
-      List.iter
-        (fun k -> check bool_c "object readable" true (Store.find s2 k <> None))
-        keys)
-
-let test_store_lru_eviction_removes_file () =
+let test_store_lru_eviction_appends_drop () =
   with_temp_dir (fun dir ->
       let root = Filename.concat dir "store" in
       let s = Store.create ~root ~capacity:2 in
@@ -1153,8 +1186,10 @@ let test_store_lru_eviction_removes_file () =
       check bool_c "least-recently-used evicted" true
         (Store.find s (key 2) = None);
       check int_c "eviction counted" 1 (Store.stats s).Store.evictions;
-      check bool_c "evicted object gone from disk" true
-        (not (Sys.file_exists (object_path ~root (key 2))));
+      check string_c "the evicted key's last record is a drop" (key 2 ^ " -")
+        (snd (List.nth (log_records root) 3));
+      check (Alcotest.list string_c) "the log keeps the surviving pair" [ key 1; key 3 ]
+        (live_keys root);
       let s2 = Store.create ~root ~capacity:2 in
       check int_c "reopen sees the surviving pair" 2 (Store.stats s2).Store.entries)
 
@@ -1162,19 +1197,18 @@ let test_store_corrupt_object_is_a_miss () =
   with_temp_dir (fun dir ->
       let root = Filename.concat dir "store" in
       let s = Store.create ~root ~capacity:4 in
-      let key = hex_key "corrupt-me" in
+      let key = hex_key "corrupt-me" and intact = hex_key "intact" in
       ignore (Store.store s key (Outcome.done_ [ ("k", 1.) ]));
-      let file = object_path ~root key in
-      check bool_c "object file exists" true (Sys.file_exists file);
-      Out_channel.with_open_text file (fun oc ->
-          Out_channel.output_string oc "{ truncated");
+      ignore (Store.store s intact (Outcome.done_ [ ("k", 3.) ]));
+      corrupt_record root key;
       let s2 = Store.create ~root ~capacity:4 in
-      check bool_c "corrupt object reads as a miss" true
+      check bool_c "corrupt record reads as a miss" true
         (Store.find s2 key = None);
-      check bool_c "corrupt object deleted" true (not (Sys.file_exists file));
+      check (Alcotest.list string_c) "corrupt record dropped from the log" [ intact ]
+        (live_keys root);
       (* The store heals: a fresh write round-trips again. *)
       ignore (Store.store s2 key (Outcome.done_ [ ("k", 2.) ]));
-      check bool_c "healed" true (Store.find s2 key <> None))
+      check bool_c "healed" true (Store.find s2 key = Some (Outcome.done_ [ ("k", 2.) ])))
 
 let test_store_reopen_above_capacity_shrinks () =
   with_temp_dir (fun dir ->
@@ -1191,18 +1225,13 @@ let test_store_reopen_above_capacity_shrinks () =
       check int_c "shed entries counted as evictions" 6 (Store.stats s2).Store.evictions;
       check int_c "noc_store_evictions_total counts them" (before + 6)
         (counter_value "noc_store_evictions_total");
-      List.iter
-        (fun i ->
-          check bool_c
-            (Printf.sprintf "object %d kept only if among the two most recent" i)
-            (i = 0 || i = 7)
-            (Sys.file_exists (object_path ~root (key i))))
-        (List.init 8 Fun.id);
+      check (Alcotest.list string_c) "the log keeps only the two most recent"
+        [ key 7; key 0 ] (live_keys root);
       List.iter (fun i -> ignore (Store.store s2 (key i) (out i))) (List.init 7 (( + ) 8));
       check int_c "stays at capacity" 2 (Store.stats s2).Store.entries)
 
-(* The kill -9 path: nothing flushed the index, and a second handle on
-   the same root still finds every stored result. *)
+(* The kill -9 path: nothing was flushed, and a second handle on the
+   same root still finds every stored result. *)
 let test_store_unflushed_reopen_finds_all () =
   with_temp_dir (fun dir ->
       let root = Filename.concat dir "store" in
@@ -1229,7 +1258,7 @@ let test_store_flushed_reopen_keeps_lru_order () =
       let s2 = Store.create ~root ~capacity:3 in
       check bool_c "a fourth key evicts" true (Store.store s2 (key 4) (out 4));
       check bool_c "k2, the least recent, evicted" false
-        (Sys.file_exists (object_path ~root (key 2)));
+        (List.mem (key 2) (live_keys root));
       List.iter
         (fun i -> check bool_c "the rest kept" true (Store.find s2 (key i) = Some (out i)))
         [ 1; 3; 4 ])
@@ -1240,34 +1269,122 @@ let rec files_under path =
     |> List.concat_map (fun f -> files_under (Filename.concat path f))
   else [ path ]
 
-let index_file root = Filename.concat root "index.json"
-
-(* The keys index.json names, most recent first. *)
-let index_entries root =
-  match Json.of_string (In_channel.with_open_bin (index_file root) In_channel.input_all) with
-  | Ok v -> List.map Json.to_str (Json.to_list (Json.field "entries" v))
-  | Error e -> Alcotest.fail e
-
-let sorted = List.sort compare
-
-let test_store_writes_only_objects_until_flush () =
+(* No file per result: puts, evictions, rewrites and flushes all land in
+   the one log. *)
+let test_store_holds_only_the_log () =
   with_temp_dir (fun dir ->
       let root = Filename.concat dir "store" in
-      let keys = List.init 4 (fun i -> hex_key (Printf.sprintf "only-%d" i)) in
-      let s = Store.create ~root ~capacity:8 in
+      let only_the_log what =
+        check (Alcotest.list string_c) what [ log_file root ] (files_under root)
+      in
+      Unix.mkdir root 0o755;
+      Out_channel.with_open_bin (log_file root ^ ".tmp") (fun oc ->
+          Out_channel.output_string oc "what a crash mid-rewrite left");
+      let s = Store.create ~root ~capacity:4 in
+      only_the_log "an empty store is one log, a crashed rewrite's temp file gone";
+      for i = 1 to 100 do
+        ignore
+          (Store.store s (hex_key (Printf.sprintf "only-%d" i)) (Outcome.done_ [ ("k", 1.) ]))
+      done;
+      only_the_log "a hundred puts later";
       Store.flush s;
-      check bool_c "an empty store flushes an index" true (Sys.file_exists (index_file root));
-      List.iter (fun k -> ignore (Store.store s k (Outcome.done_ [ ("k", 1.) ]))) keys;
-      check (Alcotest.list string_c) "the objects and nothing else on disk"
-        (sorted (List.map (object_path ~root) keys))
-        (sorted (files_under root));
+      only_the_log "after a flush")
+
+(* A kill -9 in the middle of an append leaves a last record without its
+   newline.  Open cuts it, so the next append starts a clean line. *)
+let test_store_torn_tail_is_cut () =
+  with_temp_dir (fun dir ->
+      let root = Filename.concat dir "store" in
+      let key i = hex_key (Printf.sprintf "torn-%d" i) in
+      let out i = Outcome.done_ [ ("k", float_of_int i) ] in
+      let s1 = Store.create ~root ~capacity:8 in
+      List.iter (fun i -> ignore (Store.store s1 (key i) (out i))) [ 0; 1; 2 ];
+      Unix.truncate (log_file root) (log_size root - 10);
+      let s2 = Store.create ~root ~capacity:8 in
+      check int_c "the torn record is not an entry" 2 (Store.stats s2).Store.entries;
+      check (Alcotest.list bool_c) "every other result served" [ true; true; false ]
+        (List.map (fun i -> Store.find s2 (key i) = Some (out i)) [ 0; 1; 2 ]);
+      ignore (Store.store s2 (key 3) (out 3));
+      check bool_c "the next store round-trips" true (Store.find s2 (key 3) = Some (out 3));
+      let s3 = Store.create ~root ~capacity:8 in
+      check (Alcotest.list bool_c) "and survives a reopen" [ true; true; true ]
+        (List.map (fun i -> Store.find s3 (key i) = Some (out i)) [ 0; 1; 3 ]))
+
+let test_store_garbled_record_misses_alone () =
+  with_temp_dir (fun dir ->
+      let root = Filename.concat dir "store" in
+      let key i = hex_key (Printf.sprintf "garbled-%d" i) in
+      let out i = Outcome.done_ [ ("k", float_of_int i) ] in
+      let s1 = Store.create ~root ~capacity:8 in
+      List.iter (fun i -> ignore (Store.store s1 (key i) (out i))) [ 0; 1; 2 ];
+      (match newest_put root (key 1) with
+      | Some (off, len) -> overwrite_log root ~off (String.make len '#')
+      | None -> Alcotest.fail "no record for key 1");
+      let s2 = Store.create ~root ~capacity:8 in
+      check (Alcotest.list bool_c) "only the garbled key misses" [ true; false; true ]
+        (List.map (fun i -> Store.find s2 (key i) = Some (out i)) [ 0; 1; 2 ]))
+
+(* Every put past capacity evicts, so most of what churn appends is
+   dead; rewrites keep the log under twice its live bytes. *)
+let test_store_churn_stays_compact () =
+  with_temp_dir (fun dir ->
+      let root = Filename.concat dir "store" in
+      let s = Store.create ~root ~capacity:2 in
+      let live_bytes () =
+        List.fold_left
+          (fun acc k ->
+            match newest_put root k with Some (_, len) -> acc + len + 1 | None -> acc)
+          0 (live_keys root)
+      in
+      for i = 1 to 2_000 do
+        ignore
+          (Store.store s (hex_key (Printf.sprintf "churn-%d" i))
+             (Outcome.done_ [ ("k", float_of_int i) ]));
+        let size = log_size root and live = live_bytes () in
+        if size > 2 * live then
+          Alcotest.failf "after %d puts: a %d-byte log for %d live bytes" i size live
+      done;
+      check int_c "two entries" 2 (Store.stats s).Store.entries)
+
+(* A log the kernel refuses to grow costs the result, not the caller. *)
+let test_store_refused_write_is_counted () =
+  with_temp_dir (fun dir ->
+      let root = Filename.concat dir "store" in
+      Unix.mkdir root 0o755;
+      Unix.symlink "/dev/full" (log_file root);
+      let s = Store.create ~root ~capacity:4 in
+      let key = hex_key "refused" in
+      let before = counter_value "noc_store_write_errors_total" in
+      check bool_c "store returns" false (Store.store s key (Outcome.done_ [ ("k", 1.) ]));
+      check int_c "one write error counted" (before + 1)
+        (counter_value "noc_store_write_errors_total");
+      check bool_c "nothing kept" true (Store.find s key = None))
+
+(* An older daemon's layout: one file per result plus index.json.  The
+   log starts cold beside it and leaves it alone. *)
+let test_store_ignores_an_objects_tree () =
+  with_temp_dir (fun dir ->
+      let root = Filename.concat dir "store" in
+      let key = hex_key "old-layout" in
+      let shard = Filename.concat (Filename.concat root "objects") (String.sub key 0 2) in
+      List.iter (fun d -> Unix.mkdir d 0o755) [ root; Filename.dirname shard; shard ];
+      let old = Filename.concat shard (String.sub key 2 30 ^ ".json") in
+      let index = Filename.concat root "index.json" in
+      Out_channel.with_open_bin old (fun oc ->
+          Out_channel.output_string oc
+            (Printf.sprintf
+               {|{"schema":"noc-store/1","job_hash":"%s","outcome":%s}|} key
+               (Json.to_string (Outcome.to_json (Outcome.done_ [ ("k", 1.) ])))));
+      Out_channel.with_open_bin index (fun oc ->
+          Out_channel.output_string oc
+            (Printf.sprintf {|{"schema":"noc-store-index/1","entries":["%s"]}|} key));
+      let s = Store.create ~root ~capacity:4 in
+      check int_c "nothing read from the old layout" 0 (Store.stats s).Store.entries;
+      check bool_c "a miss" true (Store.find s key = None);
+      ignore (Store.store s key (Outcome.done_ [ ("k", 1.) ]));
       Store.flush s;
-      check (Alcotest.list string_c) "the flushed index names exactly the stored keys"
-        (sorted keys)
-        (sorted (index_entries root));
-      ignore (Store.store s (List.hd keys) (Outcome.done_ [ ("k", 2.) ]));
-      check bool_c "rewriting a stored key keeps the index" true
-        (Sys.file_exists (index_file root)))
+      check bool_c "the old object is left in place" true (Sys.file_exists old);
+      check bool_c "the old index is left in place" true (Sys.file_exists index))
 
 (* ------------------------------------------------------------------ *)
 (* Store and Result_cache against the list LRU of Lru_oracle           *)
@@ -1315,30 +1432,33 @@ let store_steps_gen =
           ]))
 
 (* What the store should hold: the oracle's recency, the last outcome
-   stored per key, the keys whose object was corrupted, and what
-   index.json names when it exists. *)
+   stored per key, the keys whose record was corrupted, and the order
+   the log gives the keys, which is the recency a reopen restores. *)
 type store_model = {
   mutable lru : unit Lru_oracle.t;
   values : (string, Outcome.t) Hashtbl.t;
   corrupt : (string, unit) Hashtbl.t;
-  mutable index : string list option;
+  (* Most recent first.  A put moves its key to the front and a drop
+     removes it; a hit moves the key in [lru] only, until the log is
+     rewritten in LRU order. *)
+  mutable log_order : string list;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
 
-(* [key] left the key set, which unlinks the index. *)
+(* [key] left the key set: a drop record follows it into the log. *)
 let model_drop m key =
   Lru_oracle.remove m.lru key;
   Hashtbl.remove m.values key;
   Hashtbl.remove m.corrupt key;
-  m.index <- None
+  m.log_order <- List.filter (( <> ) key) m.log_order
 
-(* A fresh handle on [order] (most recent first): the [capacity] most
-   recent stay, the rest are evicted. *)
-let model_open m ~capacity order =
-  let keep = List.filteri (fun i _ -> i < capacity) order in
-  let excess = List.filteri (fun i _ -> i >= capacity) order in
+(* A fresh handle: the [capacity] most recent keys of the log stay, the
+   rest are evicted. *)
+let model_open m ~capacity =
+  let keep = List.filteri (fun i _ -> i < capacity) m.log_order in
+  let excess = List.filteri (fun i _ -> i >= capacity) m.log_order in
   m.lru <- Lru_oracle.create ~capacity;
   List.iter (fun k -> ignore (Lru_oracle.add m.lru k ())) (List.rev keep);
   List.iter (model_drop m) excess;
@@ -1356,17 +1476,13 @@ let prop_store_matches_oracle =
       with_temp_dir @@ fun dir ->
       let root = Filename.concat dir "store" in
       let key i = hex_key (Printf.sprintf "prop-%d" i) in
-      let universe = List.init 6 key in
-      let on_disk () =
-        List.filter (fun k -> Sys.file_exists (object_path ~root k)) universe
-      in
       let s = ref (Store.create ~root ~capacity) in
       let m =
         {
           lru = Lru_oracle.create ~capacity;
           values = Hashtbl.create 8;
           corrupt = Hashtbl.create 8;
-          index = None;
+          log_order = [];
           hits = 0;
           misses = 0;
           evictions = 0;
@@ -1376,10 +1492,10 @@ let prop_store_matches_oracle =
         | Put i ->
             let k = key i in
             let outcome = Outcome.done_ [ ("step", float_of_int n) ] in
-            if not (Lru_oracle.mem m.lru k) then m.index <- None;
             let victim = Lru_oracle.add m.lru k () in
             Hashtbl.replace m.values k outcome;
             Hashtbl.remove m.corrupt k;
+            m.log_order <- k :: List.filter (( <> ) k) m.log_order;
             Option.iter
               (fun v ->
                 model_drop m v;
@@ -1399,55 +1515,36 @@ let prop_store_matches_oracle =
             Store.find !s k = expected
         | Flush ->
             Store.flush !s;
-            m.index <- Some (Lru_oracle.keys m.lru);
+            m.log_order <- Lru_oracle.keys m.lru;
             true
         | Corrupt i ->
             let k = key i in
             if Lru_oracle.mem m.lru k then begin
-              Out_channel.with_open_bin (object_path ~root k) (fun oc ->
-                  Out_channel.output_string oc "{ truncated");
+              corrupt_record root k;
               Hashtbl.replace m.corrupt k ()
             end;
             true
-        | Reopen capacity -> (
+        | Reopen capacity ->
             s := Store.create ~root ~capacity;
-            match m.index with
-            | Some order ->
-                model_open m ~capacity order;
-                true
-            | None ->
-                (* A rescan: any [capacity] of the keys survive, in an
-                   order the store does not promise.  Check the key
-                   set, then learn the order from a flush. *)
-                let before = Lru_oracle.keys m.lru in
-                let kept = on_disk () in
-                let ok =
-                  List.for_all (fun k -> List.mem k before) kept
-                  && List.length kept = min capacity (List.length before)
-                in
-                Store.flush !s;
-                let order = index_entries root in
-                List.iter
-                  (fun k -> if not (List.mem k kept) then model_drop m k)
-                  before;
-                model_open m ~capacity order;
-                m.evictions <- List.length before - List.length kept;
-                m.index <- Some order;
-                ok && sorted order = sorted kept)
+            model_open m ~capacity;
+            true
       in
+      let inode () = (Unix.stat (log_file root)).Unix.st_ino in
       let agree () =
         let st = Store.stats !s in
         st.Store.hits = m.hits && st.Store.misses = m.misses
         && st.Store.evictions = m.evictions
         && st.Store.entries = Lru_oracle.length m.lru
-        && on_disk () = List.filter (Lru_oracle.mem m.lru) universe
-        &&
-        match m.index with
-        | None -> not (Sys.file_exists (index_file root))
-        | Some order -> Sys.file_exists (index_file root) && index_entries root = order
+        && List.rev (live_keys root) = m.log_order
       in
       List.for_all
-        (fun (n, st) -> step n st && agree ())
+        (fun (n, st) ->
+          let before = inode () in
+          let ok = step n st in
+          (* A rewrite renames a fresh log, in LRU order, over the old
+             one: the only way the log's order can catch up with hits. *)
+          if inode () <> before then m.log_order <- Lru_oracle.keys m.lru;
+          ok && agree ())
         (List.mapi (fun n st -> (n, st)) steps))
 
 (* ------------------------------------------------------------------ *)
@@ -1672,8 +1769,8 @@ let test_server_job_span_counts_words () =
 (* Every submission is one serve.submit span on the loop, whose verdict
    says how it left: a miss is queued, a design lint rejects is
    rejected, and the same job on a restarted daemon is a store hit.
-   The hit needs the restart: [Client.submit_all] writes every frame
-   before it reads a reply, so a repeat in the same run can miss too. *)
+   The hit needs the restart: [Client.submit_all] keeps several
+   submissions in flight, so a repeat in the same run can miss too. *)
 let test_server_submit_spans () =
   with_temp_dir (fun dir ->
       let job = List.hd (registry_jobs ()) in
@@ -1703,6 +1800,127 @@ let test_server_submit_spans () =
             (String.sub (Job.hash job) 0 8)
             (str_attr "job" a)
       | l -> Alcotest.failf "%d serve.job spans, want 1" (List.length l))
+
+let wait_for_socket socket =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while not (Sys.file_exists socket) do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "server socket never appeared";
+    Unix.sleepf 0.01
+  done
+
+(* Polls [flag] for up to 10 s, so a wedged daemon or client fails the
+   test instead of hanging it. *)
+let within_deadline what flag =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  if not (Atomic.get flag) then Alcotest.failf "%s within 10 s" what
+
+(* A store whose root vanished costs persistence only: the miss is
+   answered, and the daemon drains although its exit flush fails. *)
+let test_server_answers_with_its_store_root_gone () =
+  with_temp_dir (fun dir ->
+      let socket = Filename.concat dir "serve.sock" in
+      let root = Filename.concat dir "store" in
+      let server =
+        Server.create
+          {
+            Server.default_config with
+            socket_path = socket;
+            store = Some (Store.create ~root ~capacity:64);
+            domains = 1;
+          }
+      in
+      let drained = Atomic.make false in
+      let d =
+        Domain.spawn (fun () ->
+            Server.run server;
+            Atomic.set drained true)
+      in
+      wait_for_socket socket;
+      rm_rf root;
+      let conn = raw_connect socket in
+      ignore (raw_next conn);
+      let job = List.hd (registry_jobs ()) in
+      let submit id =
+        raw_send conn (Wire.encode_request (Wire.Submit { id; corr = None; job }));
+        Wire.response_of_json (raw_next conn)
+      in
+      (match submit 0 with
+      | Ok (Wire.Result { outcome; cached = false; _ }) ->
+          check bool_c "the miss is done" true (Outcome.is_done outcome)
+      | _ -> Alcotest.fail "expected a result for the miss");
+      (match submit 1 with
+      | Ok (Wire.Result { cached; _ }) -> check bool_c "the repeat is a hit" true cached
+      | _ -> Alcotest.fail "expected a result for the repeat");
+      Unix.close (fst conn);
+      let errors = counter_value "noc_store_write_errors_total" in
+      Server.stop server;
+      within_deadline "the daemon drained" drained;
+      Domain.join d;
+      check int_c "the exit flush found no root, counted" (errors + 1)
+        (counter_value "noc_store_write_errors_total"))
+
+(* 900 distinct jobs through one submit_all: far more than the daemon
+   queues, and more replies than the socket buffers hold. *)
+let test_client_submit_all_large_job_file () =
+  with_temp_dir (fun dir ->
+      let socket = Filename.concat dir "serve.sock" in
+      let server = Server.create { Server.default_config with socket_path = socket } in
+      let d = Domain.spawn (fun () -> Server.run server) in
+      wait_for_socket socket;
+      let jobs =
+        List.concat_map
+          (fun (spec : Noc_benchmarks.Spec.t) ->
+            List.concat_map
+              (fun n_switches ->
+                List.concat_map
+                  (fun max_degree ->
+                    let design =
+                      Job.Benchmark { name = spec.Noc_benchmarks.Spec.name; n_switches; max_degree }
+                    in
+                    [
+                      { Job.design; method_ = Job.removal_defaults };
+                      {
+                        Job.design;
+                        method_ =
+                          Job.Resource_ordering
+                            { strategy = Noc_deadlock.Resource_ordering.Hop_index };
+                      };
+                    ])
+                  [ 3; 4; 5 ])
+              (List.init 25 (( + ) 2)))
+          Noc_benchmarks.Registry.all
+      in
+      check bool_c "at least 900 jobs" true (List.length jobs >= 900);
+      let finished = Atomic.make false in
+      let replies = ref (Error "unfinished") in
+      let client =
+        Domain.spawn (fun () ->
+            replies :=
+              Result.bind (Client.connect ~socket) (fun c ->
+                  Fun.protect
+                    ~finally:(fun () -> Client.close c)
+                    (fun () -> Client.submit_all c jobs ~on_result:(fun _ _ _ -> ())));
+            Atomic.set finished true)
+      in
+      within_deadline "submit_all returned" finished;
+      Domain.join client;
+      Server.stop server;
+      Domain.join d;
+      match !replies with
+      | Error e -> Alcotest.fail e
+      | Ok rs ->
+          check int_c "one reply per job" (List.length jobs) (List.length rs);
+          List.iteri
+            (fun i r ->
+              match r with
+              | Wire.Result { id; outcome; _ } ->
+                  check int_c "in submission order" i id;
+                  check bool_c "done" true (Outcome.is_done outcome)
+              | _ -> Alcotest.failf "job %d: expected a result" i)
+            rs)
 
 (* The socket path appears only once the daemon listens, so a client
    that connects the moment the path exists is never refused.  The
@@ -1811,10 +2029,8 @@ let () =
         [
           Alcotest.test_case "persists across reopen" `Quick
             test_store_persists_across_reopen;
-          Alcotest.test_case "rebuilds missing index" `Quick
-            test_store_rebuilds_missing_index;
-          Alcotest.test_case "lru eviction removes file" `Quick
-            test_store_lru_eviction_removes_file;
+          Alcotest.test_case "lru eviction appends a drop record" `Quick
+            test_store_lru_eviction_appends_drop;
           Alcotest.test_case "corrupt object is a miss" `Quick
             test_store_corrupt_object_is_a_miss;
           Alcotest.test_case "reopen above capacity shrinks" `Quick
@@ -1823,8 +2039,17 @@ let () =
             test_store_unflushed_reopen_finds_all;
           Alcotest.test_case "flushed reopen keeps lru order" `Quick
             test_store_flushed_reopen_keeps_lru_order;
-          Alcotest.test_case "writes only objects until flush" `Quick
-            test_store_writes_only_objects_until_flush;
+          Alcotest.test_case "holds only the log" `Quick
+            test_store_holds_only_the_log;
+          Alcotest.test_case "torn tail is cut" `Quick test_store_torn_tail_is_cut;
+          Alcotest.test_case "garbled record misses alone" `Quick
+            test_store_garbled_record_misses_alone;
+          Alcotest.test_case "churn stays under twice the live bytes" `Quick
+            test_store_churn_stays_compact;
+          Alcotest.test_case "refused write is counted" `Quick
+            test_store_refused_write_is_counted;
+          Alcotest.test_case "ignores an older objects tree" `Quick
+            test_store_ignores_an_objects_tree;
         ] );
       ( "server",
         [
@@ -1838,6 +2063,10 @@ let () =
             test_server_job_span_counts_words;
           Alcotest.test_case "every submission has one serve.submit span"
             `Quick test_server_submit_spans;
+          Alcotest.test_case "answers with its store root gone" `Quick
+            test_server_answers_with_its_store_root_gone;
+          Alcotest.test_case "submit_all of 900 jobs returns every reply" `Quick
+            test_client_submit_all_large_job_file;
         ] );
       ( "batch",
         [
